@@ -331,12 +331,15 @@ def _cmd_fabric(args: argparse.Namespace, obs: "ObservabilityRuntime") -> int:
 
             plane.tick_hook = make_kill_hook(args.chaos_kill_tick)
         remaining = args.days - plane.day
-        if remaining <= 0:
+        if remaining < 0:
             raise ValueError(
                 f"checkpoint already covers day {plane.day}"
                 f" (target {args.days}); nothing to run"
             )
-        plane.run_days(remaining)
+        if remaining:
+            # A chain persisted through the target's last tick holds
+            # every day already; its report is the run's report.
+            plane.run_days(remaining)
     else:
         if args.services:
             include = tuple(args.services.split(","))

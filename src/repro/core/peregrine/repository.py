@@ -6,14 +6,16 @@ component shares: template signatures for grouping, strict signatures
 for reuse detection, parameter vectors for micromodel features, and
 dependency edges for pipeline analysis.
 
-Storage is a :class:`JobTable` — one columnar :class:`DayChunk` per
-day (structured numpy columns over interned plan/signature/parameter
-pools) behind an LRU chunk cache that spills cold days to disk under a
-configurable memory budget.  A million-job day costs a few numpy
-arrays plus one object per *unique plan*, not one ``JobRecord`` per
-job; :class:`JobRecord` instances are materialized on demand so the
-read API (``records``, ``job``, ``by_day``, ``instances_of``) is
-unchanged for existing callers.
+Storage is a :class:`JobTable` — one :class:`DayChunk` per day behind
+an LRU chunk cache that spills cold days to disk under a configurable
+memory budget.  A day is flat numpy arrays and nothing else (see
+:data:`COLUMNS`): each unique plan is a skeleton code plus its literal
+values (:mod:`repro.engine.skeleton`), signatures, parameters and
+dependencies are CSR columns over small per-day pools.  A 100k-job day
+is ~10 MiB of arrays, and :class:`Expression` trees and
+:class:`JobRecord` instances are built on demand, so the read API
+(``records``, ``job``, ``by_day``, ``instances_of``) is unchanged for
+existing callers.
 
 Aggregate statistics (template recurrence counters, per-day sharing
 summaries, dependency involvement) are folded incrementally at ingest
@@ -23,7 +25,7 @@ analyze` never needs every record in memory at once.
 
 from __future__ import annotations
 
-import pickle
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,13 +34,14 @@ import numpy as np
 
 from repro.engine import Expression
 from repro.engine.signatures import enumerate_all_signatures, signatures
+from repro.engine.skeleton import build_plan, plan_skeleton
 from repro.workloads.scope import Job, Workload
 
 _FNV_OFFSET = np.uint64(14695981039346656037)
 _FNV_PRIME = np.uint64(1099511628211)
 
 
-def _hash_ids(ids: list[str]) -> np.ndarray:
+def _hash_ids(ids) -> np.ndarray:
     """Vectorized FNV-1a of job-id strings, as uint64.
 
     Stable across processes (unlike ``hash()``), and ~100x faster than
@@ -81,58 +84,252 @@ class JobRecord:
 
 
 # ---------------------------------------------------------------------------
+# the column schema
+# ---------------------------------------------------------------------------
+
+#: Every column of a day, with its dtype (``"S"``: fixed-width ASCII,
+#: as wide as the longest value).  Variable-length groups (literals,
+#: signature codes, parameters, dependency ids) are CSR with per-owner
+#: *counts*, so appending one day's batch to another is concatenation
+#: plus code remaps.
+COLUMNS: dict[str, object] = {
+    # one per job
+    "job_ids": "S",
+    "submit_hours": np.float64,
+    "plan_codes": np.uint32,         # into the plan columns
+    "param_codes": np.uint32,        # into the parameter entries
+    # skeleton table: one per distinct literal-masked plan
+    "skeletons": "S",                # JSON skeleton text
+    "skel_templates": "S",           # template signature of the skeleton
+    "skel_arity": np.uint16,         # literals per plan of this skeleton
+    # one per unique plan
+    "plan_skels": np.uint32,
+    "plan_stricts": "S",             # strict signature of the full plan
+    "sig_counts": np.uint32,         # strict subexpressions per plan
+    # flat, plan-major
+    "literals": np.float64,          # skel_arity[plan_skels] per plan
+    "sig_codes": np.uint32,          # sig_counts per plan, walk order
+    # strict-signature pool, first-sighting order across plans
+    "sig_names": "S",
+    "sig_sizes": np.uint32,          # node count of the subexpression
+    # parameter entries (dicts) over a parameter-name pool
+    "param_names": "S",
+    "param_counts": np.uint32,       # items per entry
+    "param_keys": np.uint32,         # into param_names
+    "param_values": np.float64,
+    # dependency rows: only jobs with a non-empty ``depends_on``
+    "dep_rows": np.uint32,           # ascending
+    "dep_counts": np.uint32,
+    "dep_ids": "S",
+}
+
+#: Interned pools: index kind -> (key column, columns carried along).
+_POOLS = {
+    "skel": ("skeletons", ("skel_templates", "skel_arity")),
+    "sig": ("sig_names", ("sig_sizes",)),
+    "param_name": ("param_names", ()),
+}
+
+
+def _as_column(values, dtype) -> np.ndarray:
+    if isinstance(values, np.ndarray) and (
+        values.dtype.kind == "S" if dtype == "S" else values.dtype == dtype
+    ):
+        return values
+    return np.asarray(values, dtype=dtype)
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+class _DayColumns:
+    """Reads shared by :class:`JobBatch` and :class:`DayChunk`.
+
+    Subclasses provide ``col(name)`` (a :data:`COLUMNS` array) and a
+    ``_derived`` dict for offsets computed from the count columns.
+    """
+
+    __slots__ = ()
+
+    def col(self, name: str) -> np.ndarray:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def _csr(self, name: str) -> np.ndarray:
+        offsets = self._derived.get(name)
+        if offsets is None:
+            if name == "literals":
+                arity = self.col("skel_arity").astype(np.int64)
+                counts = arity[self.col("plan_skels")]
+            else:
+                counts = self.col(name)
+            offsets = _offsets(counts)
+            self._derived[name] = offsets
+        return offsets
+
+    def job_id(self, row: int) -> str:
+        return self.col("job_ids")[row].decode()
+
+    def job_id_list(self) -> list[str]:
+        return [b.decode() for b in self.col("job_ids").tolist()]
+
+    def plan(self, code: int) -> Expression:
+        """Build plan ``code``'s tree from its skeleton and literals."""
+        skel = int(self.col("plan_skels")[code])
+        offsets = self._csr("literals")
+        literals = self.col("literals")[offsets[code]:offsets[code + 1]]
+        return build_plan(
+            self.col("skeletons")[skel].decode(), literals.tolist()
+        )
+
+    def template(self, code: int) -> str:
+        skel = int(self.col("plan_skels")[code])
+        return self.col("skel_templates")[skel].decode()
+
+    def strict(self, code: int) -> str:
+        return self.col("plan_stricts")[code].decode()
+
+    def params(self, code: int) -> dict[str, float]:
+        offsets = self._csr("param_counts")
+        lo, hi = offsets[code], offsets[code + 1]
+        names = self.col("param_names")[self.col("param_keys")[lo:hi]]
+        return dict(
+            zip(
+                (n.decode() for n in names.tolist()),
+                self.col("param_values")[lo:hi].tolist(),
+            )
+        )
+
+    def deps_by_row(self) -> dict[int, tuple[str, ...]]:
+        """``{row: depends_on}`` for every row with dependencies."""
+        offsets = self._csr("dep_counts")
+        ids = [b.decode() for b in self.col("dep_ids").tolist()]
+        return {
+            row: tuple(ids[offsets[i]:offsets[i + 1]])
+            for i, row in enumerate(self.col("dep_rows").tolist())
+        }
+
+    def depends_on(self, row: int) -> tuple[str, ...]:
+        rows = self.col("dep_rows")
+        at = int(np.searchsorted(rows, row))
+        if at == len(rows) or rows[at] != row:
+            return ()
+        offsets = self._csr("dep_counts")
+        ids = self.col("dep_ids")[offsets[at]:offsets[at + 1]]
+        return tuple(b.decode() for b in ids.tolist())
+
+
+# ---------------------------------------------------------------------------
 # columnar batches
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class JobBatch:
-    """One day's jobs, pre-flattened into columns for bulk ingest.
+@dataclass(eq=False)
+class JobBatch(_DayColumns):
+    """One day's jobs as :data:`COLUMNS` arrays, ready for bulk ingest.
 
-    The expensive per-*plan* work (signature enumeration) happens once
-    here, at construction; :meth:`WorkloadRepository.ingest_batch` then
-    appends pure columns.  Recurring instances that share a plan object
-    share one entry in ``plans`` — the columnar win that makes 100k+
-    job days cheap.
+    The expensive per-*plan* work (signature enumeration, skeleton
+    encoding) happens once, at construction;
+    :meth:`WorkloadRepository.ingest_batch` then appends pure columns.
+    Recurring instances share one plan code, and every plan of one
+    script shares one skeleton.  The batch pickles as flat arrays, so
+    shipping a 100k-job day between processes costs milliseconds.
+
+    :meth:`plan` builds each plan code's tree once and caches it on the
+    batch (never pickled): every reader of the day shares one object
+    per plan, the way recurring instances shared one plan object when
+    batches held trees.
     """
 
     day: int
-    job_ids: list[str]
-    submit_hours: np.ndarray               # f8, one per job
-    plan_codes: np.ndarray                 # u4 into plans, one per job
-    param_codes: np.ndarray                # u4 into params_pool, one per job
-    plans: list[Expression]
-    plan_templates: list[str]
-    plan_stricts: list[str]
-    plan_sig_codes: list[np.ndarray]       # per plan: u4 into the batch sig pool
-    sig_names: list[str]                   # batch-local strict-sig pool,
-    sig_sizes: list[int]                   # first-sighting order across plans
-    params_pool: list[dict]
-    deps_map: dict[int, tuple[str, ...]]   # sparse: row -> depends_on
+    job_ids: np.ndarray
+    submit_hours: np.ndarray
+    plan_codes: np.ndarray
+    param_codes: np.ndarray
+    skeletons: np.ndarray
+    skel_templates: np.ndarray
+    skel_arity: np.ndarray
+    plan_skels: np.ndarray
+    plan_stricts: np.ndarray
+    sig_counts: np.ndarray
+    literals: np.ndarray
+    sig_codes: np.ndarray
+    sig_names: np.ndarray
+    sig_sizes: np.ndarray
+    param_names: np.ndarray
+    param_counts: np.ndarray
+    param_keys: np.ndarray
+    param_values: np.ndarray
+    dep_rows: np.ndarray
+    dep_counts: np.ndarray
+    dep_ids: np.ndarray
+    _derived: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _plans: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        for name, dtype in COLUMNS.items():
+            setattr(self, name, _as_column(getattr(self, name), dtype))
 
     def __len__(self) -> int:
         return len(self.job_ids)
 
+    def __getstate__(self) -> dict:
+        state = {"day": self.day}
+        state.update(self.columns())
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._derived = {}
+        self._plans = {}
+
+    def col(self, name: str) -> np.ndarray:
+        return _as_column(getattr(self, name), COLUMNS[name])
+
+    def columns(self) -> dict[str, np.ndarray]:
+        return {name: self.col(name) for name in COLUMNS}
+
+    @property
+    def n_plans(self) -> int:
+        return len(self.plan_skels)
+
+    def plan(self, code: int) -> Expression:
+        """Plan ``code``'s tree, built on first use and then shared."""
+        plan = self._plans.get(code)
+        if plan is None:
+            plan = super().plan(code)
+            self._plans[code] = plan
+        return plan
+
     @classmethod
     def from_jobs(cls, jobs: list[Job], day: int | None = None) -> "JobBatch":
-        """Columnarize ``jobs`` (all from one day, in ingestion order)."""
+        """Columnarize ``jobs`` (all from one day, in ingestion order).
+
+        The reference encoder for arbitrary plans: plan codes by first
+        appearance (recurring instances sharing a plan object share a
+        code), skeletons, signatures and parameter names interned in
+        first-sighting order.  The fused generator path
+        (:meth:`~repro.workloads.scope.ScopeWorkloadGenerator.day_batch`)
+        is pinned bit-identical to it.
+        """
         if not jobs:
             raise ValueError("cannot build an empty JobBatch")
         batch_day = jobs[0].day if day is None else day
-        job_ids: list[str] = []
-        hours = np.empty(len(jobs), dtype=np.float64)
-        plan_codes = np.empty(len(jobs), dtype=np.uint32)
-        param_codes = np.empty(len(jobs), dtype=np.uint32)
-        plans: list[Expression] = []
-        plan_templates: list[str] = []
-        plan_stricts: list[str] = []
-        plan_sig_codes: list[np.ndarray] = []
-        sig_names: list[str] = []
-        sig_sizes: list[int] = []
-        params_pool: list[dict] = []
-        deps_map: dict[int, tuple[str, ...]] = {}
+        n = len(jobs)
+        out: dict[str, list] = {name: [] for name in COLUMNS}
+        hours = np.empty(n, dtype=np.float64)
+        plan_codes = np.empty(n, dtype=np.uint32)
+        param_codes = np.empty(n, dtype=np.uint32)
         plan_index: dict[int, int] = {}
+        skel_index: dict[str, int] = {}
         sig_index: dict[str, int] = {}
+        name_index: dict[str, int] = {}
         param_index: dict[tuple, int] = {}
         for row, job in enumerate(jobs):
             if job.day != batch_day:
@@ -142,50 +339,52 @@ class JobBatch:
                 )
             code = plan_index.get(id(job.plan))
             if code is None:
-                code = len(plans)
+                code = len(plan_index)
                 plan_index[id(job.plan)] = code
                 strict_map, _template_map = enumerate_all_signatures(job.plan)
                 sigs = signatures(job.plan)
-                plans.append(job.plan)
-                plan_templates.append(sigs.template)
-                plan_stricts.append(sigs.strict)
-                codes = np.empty(len(strict_map), dtype=np.uint32)
-                for i, (name, node) in enumerate(strict_map.items()):
+                text, literals = plan_skeleton(job.plan)
+                skel = skel_index.get(text)
+                if skel is None:
+                    skel = skel_index[text] = len(skel_index)
+                    out["skeletons"].append(text)
+                    out["skel_templates"].append(sigs.template)
+                    out["skel_arity"].append(len(literals))
+                out["plan_skels"].append(skel)
+                out["plan_stricts"].append(sigs.strict)
+                out["sig_counts"].append(len(strict_map))
+                out["literals"].extend(literals)
+                for name, node in strict_map.items():
                     sig_code = sig_index.get(name)
                     if sig_code is None:
-                        sig_code = len(sig_names)
-                        sig_index[name] = sig_code
-                        sig_names.append(name)
-                        sig_sizes.append(node.size)
-                    codes[i] = sig_code
-                plan_sig_codes.append(codes)
+                        sig_code = sig_index[name] = len(sig_index)
+                        out["sig_names"].append(name)
+                        out["sig_sizes"].append(node.size)
+                    out["sig_codes"].append(sig_code)
             plan_codes[row] = code
             pkey = (code,) + tuple(job.params.items())
             pcode = param_index.get(pkey)
             if pcode is None:
-                pcode = len(params_pool)
-                param_index[pkey] = pcode
-                params_pool.append(dict(job.params))
+                pcode = param_index[pkey] = len(param_index)
+                out["param_counts"].append(len(job.params))
+                for name, value in job.params.items():
+                    key = name_index.get(name)
+                    if key is None:
+                        key = name_index[name] = len(name_index)
+                        out["param_names"].append(name)
+                    out["param_keys"].append(key)
+                    out["param_values"].append(value)
             param_codes[row] = pcode
-            job_ids.append(job.job_id)
+            out["job_ids"].append(job.job_id)
             hours[row] = job.submit_hour
             if job.depends_on:
-                deps_map[row] = tuple(job.depends_on)
-        return cls(
-            day=batch_day,
-            job_ids=job_ids,
-            submit_hours=hours,
-            plan_codes=plan_codes,
-            param_codes=param_codes,
-            plans=plans,
-            plan_templates=plan_templates,
-            plan_stricts=plan_stricts,
-            plan_sig_codes=plan_sig_codes,
-            sig_names=sig_names,
-            sig_sizes=sig_sizes,
-            params_pool=params_pool,
-            deps_map=deps_map,
+                out["dep_rows"].append(row)
+                out["dep_counts"].append(len(job.depends_on))
+                out["dep_ids"].extend(job.depends_on)
+        out.update(
+            submit_hours=hours, plan_codes=plan_codes, param_codes=param_codes
         )
+        return cls(day=batch_day, **out)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +395,7 @@ class JobBatch:
 class _Column:
     """An appendable numpy column: array segments + a scalar tail."""
 
-    __slots__ = ("dtype", "parts", "pending", "_cache", "_n")
+    __slots__ = ("dtype", "parts", "pending", "_cache", "_n", "_width")
 
     def __init__(self, dtype) -> None:
         self.dtype = np.dtype(dtype)
@@ -204,103 +403,143 @@ class _Column:
         self.pending: list = []
         self._cache: np.ndarray | None = None
         self._n = 0
+        # Byte width per value; "S" columns widen to their longest value.
+        self._width = self.dtype.itemsize
+
+    @property
+    def flexible(self) -> bool:
+        return self.dtype.kind == "S"
 
     def __len__(self) -> int:
         return self._n
 
-    def append(self, value) -> None:
-        self.pending.append(value)
-        self._cache = None
-        self._n += 1
-
-    def extend(self, arr: np.ndarray) -> None:
+    def _seal(self) -> None:
         if self.pending:
             self.parts.append(np.asarray(self.pending, dtype=self.dtype))
             self.pending = []
-        self.parts.append(np.asarray(arr, dtype=self.dtype))
+
+    def append(self, value) -> None:
+        self.pending.append(value)
+        if self.flexible:
+            self._width = max(self._width, len(value))
+        self._cache = None
+        self._n += 1
+
+    def extend(self, arr) -> None:
+        arr = _as_column(arr, "S" if self.flexible else self.dtype)
+        if not len(arr):
+            return
+        self._seal()
+        self.parts.append(arr)
+        if self.flexible:
+            self._width = max(self._width, arr.dtype.itemsize)
         self._cache = None
         self._n += len(arr)
 
     def array(self) -> np.ndarray:
         if self._cache is None:
-            parts = list(self.parts)
-            if self.pending:
-                parts.append(np.asarray(self.pending, dtype=self.dtype))
-            if not parts:
+            self._seal()
+            if not self.parts:
                 self._cache = np.empty(0, dtype=self.dtype)
-            elif len(parts) == 1:
-                self._cache = parts[0]
+            elif len(self.parts) == 1:
+                self._cache = self.parts[0]
             else:
-                self._cache = np.concatenate(parts)
+                self._cache = np.concatenate(self.parts)
+                self.parts = [self._cache]
         return self._cache
 
     def nbytes(self) -> int:
-        return self._n * self.dtype.itemsize
+        """``array().nbytes``, without materializing the array."""
+        return self._n * self._width
 
 
-class DayChunk:
-    """One day's columnar job table plus its interned pools.
+class DayChunk(_DayColumns):
+    """One day's job table: the :data:`COLUMNS` arrays, appendable.
 
-    Everything a day needs travels together — columns, unique plans,
-    the signature pool, parameter pool, and sparse dependency map — so
-    a chunk spills to disk and reloads as one self-contained pickle.
+    Everything a day needs travels together as flat arrays, so a chunk
+    spills to disk and reloads as one ``.npz`` file (no pickled Python
+    objects) and its resident size is exactly its array bytes.
+    Interning indexes and CSR offsets are derived, rebuilt on demand,
+    and never saved.
     """
 
-    __slots__ = (
-        "day", "job_ids", "submit_hours", "plan_codes", "param_codes",
-        "plans", "plan_templates", "plan_stricts", "plan_sig_codes",
-        "sig_names", "sig_sizes", "params_pool", "deps_map", "dirty",
-        "_sig_index", "_filtered_cache", "_sig_bytes", "_nbytes_cache",
-    )
+    __slots__ = ("day", "cols", "dirty", "_derived", "_index")
 
     def __init__(self, day: int) -> None:
         self.day = day
-        self.job_ids: list[str] = []
-        self.submit_hours = _Column(np.float64)
-        self.plan_codes = _Column(np.uint32)
-        self.param_codes = _Column(np.uint32)
-        self.plans: list[Expression] = []
-        self.plan_templates: list[str] = []
-        self.plan_stricts: list[str] = []
-        self.plan_sig_codes: list[np.ndarray] = []
-        self.sig_names: list[str] = []
-        self.sig_sizes: list[int] = []
-        self.params_pool: list[dict] = []
-        self.deps_map: dict[int, tuple[str, ...]] = {}
+        self.cols = {name: _Column(dtype) for name, dtype in COLUMNS.items()}
         self.dirty = True
-        self._sig_index: dict[str, int] | None = {}
-        self._filtered_cache: dict[int, list[np.ndarray]] = {}
-        self._sig_bytes: np.ndarray | None = None
-        self._nbytes_cache: int | None = None
+        self._derived: dict = {}
+        self._index: dict[str, dict] = {}
+
+    @classmethod
+    def from_columns(cls, day: int, columns: dict[str, np.ndarray]) -> "DayChunk":
+        chunk = cls(day)
+        for name in COLUMNS:
+            chunk.cols[name].extend(columns[name])
+        chunk.dirty = False
+        return chunk
 
     @property
     def n(self) -> int:
-        return len(self.job_ids)
+        return len(self.cols["job_ids"])
+
+    def col(self, name: str) -> np.ndarray:
+        return self.cols[name].array()
+
+    def columns(self) -> dict[str, np.ndarray]:
+        return {name: column.array() for name, column in self.cols.items()}
 
     # -- interning -----------------------------------------------------------
-    def _sig_lookup(self) -> dict[str, int]:
-        if self._sig_index is None:
-            self._sig_index = {s: i for i, s in enumerate(self.sig_names)}
-        return self._sig_index
+    def _lookup(self, kind: str) -> dict:
+        index = self._index.get(kind)
+        if index is None:
+            if kind == "param":
+                index = {}
+                for code in range(len(self.cols["param_counts"])):
+                    index.setdefault(
+                        tuple(self.params(code).items()), code
+                    )
+            else:
+                keys = self.col(_POOLS[kind][0]).tolist()
+                index = {key: i for i, key in enumerate(keys)}
+            self._index[kind] = index
+        return index
 
-    def _intern_sigs(self, names: list[str], sizes: list[int]) -> np.ndarray:
-        index = self._sig_lookup()
-        codes = np.empty(len(names), dtype=np.uint32)
-        for i, (name, size) in enumerate(zip(names, sizes)):
-            code = index.get(name)
+    def _intern(self, kind: str, key: bytes, *carried) -> int:
+        index = self._lookup(kind)
+        code = index.get(key)
+        if code is None:
+            key_col, carried_cols = _POOLS[kind]
+            code = index[key] = len(self.cols[key_col])
+            self.cols[key_col].append(key)
+            for name, value in zip(carried_cols, carried):
+                self.cols[name].append(value)
+        return code
+
+    def _intern_pool(self, kind: str, batch: JobBatch) -> np.ndarray:
+        """Remap a batch pool's codes onto this chunk's pool."""
+        key_col, carried_cols = _POOLS[kind]
+        keys = batch.col(key_col)
+        index = self._lookup(kind)
+        remap = np.empty(len(keys), dtype=np.uint32)
+        new: list[int] = []
+        next_code = len(self.cols[key_col])
+        for i, key in enumerate(keys.tolist()):
+            code = index.get(key)
             if code is None:
-                code = len(self.sig_names)
-                index[name] = code
-                self.sig_names.append(name)
-                self.sig_sizes.append(size)
-            codes[i] = code
-        return codes
+                code = index[key] = next_code
+                next_code += 1
+                new.append(i)
+            remap[i] = code
+        if new:
+            for name in (key_col, *carried_cols):
+                self.cols[name].extend(batch.col(name)[new])
+        return remap
 
     def _invalidate(self) -> None:
         self.dirty = True
-        self._filtered_cache = {}
-        self._sig_bytes = None
-        self._nbytes_cache = None
+        self._derived = {}
 
     def add_plan(
         self,
@@ -310,21 +549,36 @@ class DayChunk:
         sig_names: list[str],
         sig_sizes: list[int],
     ) -> int:
-        code = len(self.plans)
-        self.plans.append(plan)
-        self.plan_templates.append(template)
-        self.plan_stricts.append(strict)
-        self.plan_sig_codes.append(self._intern_sigs(sig_names, sig_sizes))
+        text, literals = plan_skeleton(plan)
+        cols = self.cols
+        code = len(cols["plan_skels"])
+        cols["plan_skels"].append(
+            self._intern("skel", text.encode(), template, len(literals))
+        )
+        cols["plan_stricts"].append(strict)
+        cols["sig_counts"].append(len(sig_names))
+        for value in literals:
+            cols["literals"].append(value)
+        for name, size in zip(sig_names, sig_sizes):
+            cols["sig_codes"].append(self._intern("sig", name.encode(), size))
+        self._invalidate()
         return code
 
     def add_params(self, plan_code: int, params: dict) -> int:
-        # Parameter dicts are interned per (plan, contents): recurring
-        # instances share one dict, ad-hoc jobs get their own.
-        for code in range(len(self.params_pool) - 1, -1, -1):
-            if self.params_pool[code] == params:
-                return code
-        self.params_pool.append(dict(params))
-        return len(self.params_pool) - 1
+        # Parameter entries are interned by contents: recurring
+        # instances share one entry, ad-hoc jobs get their own.
+        index = self._lookup("param")
+        key = tuple(params.items())
+        code = index.get(key)
+        if code is None:
+            cols = self.cols
+            code = index[key] = len(cols["param_counts"])
+            cols["param_counts"].append(len(params))
+            for name, value in params.items():
+                cols["param_keys"].append(self._intern("param_name", name.encode()))
+                cols["param_values"].append(value)
+            self._invalidate()
+        return code
 
     # -- appends -------------------------------------------------------------
     def append_row(
@@ -335,89 +589,108 @@ class DayChunk:
         param_code: int,
         depends_on: tuple[str, ...],
     ) -> int:
+        cols = self.cols
         row = self.n
-        self.job_ids.append(job_id)
-        self.submit_hours.append(submit_hour)
-        self.plan_codes.append(plan_code)
-        self.param_codes.append(param_code)
+        cols["job_ids"].append(job_id)
+        cols["submit_hours"].append(submit_hour)
+        cols["plan_codes"].append(plan_code)
+        cols["param_codes"].append(param_code)
         if depends_on:
-            self.deps_map[row] = tuple(depends_on)
+            cols["dep_rows"].append(row)
+            cols["dep_counts"].append(len(depends_on))
+            for dep in depends_on:
+                cols["dep_ids"].append(dep)
         self._invalidate()
         return row
 
     def append_batch(self, batch: JobBatch) -> None:
-        base_row = self.n
-        plan_offset = np.uint32(len(self.plans))
-        if not self.plans:
+        cols = self.cols
+        if not len(cols["plan_skels"]):
             # Fresh chunk (the one-batch-per-day hot path): adopt the
-            # batch's pre-interned pools wholesale — zero per-sig work.
-            self.sig_names = list(batch.sig_names)
-            self.sig_sizes = list(batch.sig_sizes)
-            self._sig_index = None
-            self.plan_sig_codes = list(batch.plan_sig_codes)
-        else:
-            remap = np.empty(len(batch.sig_names), dtype=np.uint32)
-            index = self._sig_lookup()
-            for i, (name, size) in enumerate(
-                zip(batch.sig_names, batch.sig_sizes)
-            ):
-                code = index.get(name)
-                if code is None:
-                    code = len(self.sig_names)
-                    index[name] = code
-                    self.sig_names.append(name)
-                    self.sig_sizes.append(size)
-                remap[i] = code
-            self.plan_sig_codes.extend(
-                remap[codes] for codes in batch.plan_sig_codes
-            )
-        self.plans.extend(batch.plans)
-        self.plan_templates.extend(batch.plan_templates)
-        self.plan_stricts.extend(batch.plan_stricts)
-        param_offset = np.uint32(len(self.params_pool))
-        self.params_pool.extend(dict(p) for p in batch.params_pool)
-        self.job_ids.extend(batch.job_ids)
-        self.submit_hours.extend(batch.submit_hours)
-        self.plan_codes.extend(batch.plan_codes + plan_offset)
-        self.param_codes.extend(batch.param_codes + param_offset)
-        for row, deps in batch.deps_map.items():
-            self.deps_map[base_row + row] = deps
+            # batch's arrays wholesale — no per-row or per-plan work.
+            for name in COLUMNS:
+                cols[name].extend(batch.col(name))
+            self._index = {}
+            self._invalidate()
+            return
+        # Reopened day: intern the batch's pools into this chunk's and
+        # shift its codes past the rows, plans and entries held here.
+        skel_remap = self._intern_pool("skel", batch)
+        sig_remap = self._intern_pool("sig", batch)
+        name_remap = self._intern_pool("param_name", batch)
+        base_row = np.uint32(self.n)
+        cols["plan_codes"].extend(
+            batch.plan_codes + np.uint32(len(cols["plan_skels"]))
+        )
+        cols["param_codes"].extend(
+            batch.param_codes + np.uint32(len(cols["param_counts"]))
+        )
+        for name in (
+            "job_ids", "submit_hours", "plan_stricts", "sig_counts",
+            "literals", "param_counts", "param_values", "dep_counts",
+            "dep_ids",
+        ):
+            cols[name].extend(batch.col(name))
+        cols["plan_skels"].extend(skel_remap[batch.plan_skels])
+        cols["sig_codes"].extend(sig_remap[batch.sig_codes])
+        cols["param_keys"].extend(name_remap[batch.param_keys])
+        cols["dep_rows"].extend(batch.dep_rows + base_row)
+        self._index.pop("param", None)
         self._invalidate()
 
     # -- reads ---------------------------------------------------------------
-    def record(self, row: int) -> JobRecord:
-        plan_code = int(self.plan_codes.array()[row])
-        plan = self.plans[plan_code]
+    def record(self, row: int, plans: dict | None = None) -> JobRecord:
+        """Materialize one row; ``plans`` shares trees across rows."""
+        code = int(self.col("plan_codes")[row])
+        plan = plans.get(code) if plans is not None else None
+        if plan is None:
+            plan = self.plan(code)
+            if plans is not None:
+                plans[code] = plan
         strict_map, template_map = enumerate_all_signatures(plan)
         return JobRecord(
-            job_id=self.job_ids[row],
-            submit_hour=float(self.submit_hours.array()[row]),
+            job_id=self.job_id(row),
+            submit_hour=float(self.col("submit_hours")[row]),
             plan=plan,
-            template=self.plan_templates[plan_code],
-            strict=self.plan_stricts[plan_code],
+            template=self.template(code),
+            strict=self.strict(code),
             subexpression_templates=template_map,
             subexpression_strict=strict_map,
-            params=dict(self.params_pool[int(self.param_codes.array()[row])]),
-            depends_on=self.deps_map.get(row, ()),
+            params=self.params(int(self.col("param_codes")[row])),
+            depends_on=self.depends_on(row),
         )
 
-    def records(self) -> list[JobRecord]:
-        return [self.record(row) for row in range(self.n)]
+    def iter_records(self):
+        plans: dict[int, Expression] = {}
+        for row in range(self.n):
+            yield self.record(row, plans)
 
-    def filtered_sig_codes(self, min_size: int) -> list[np.ndarray]:
-        """Per-plan strict-sig codes with node size >= ``min_size``."""
-        cached = self._filtered_cache.get(min_size)
+    def records(self) -> list[JobRecord]:
+        return list(self.iter_records())
+
+    def filtered_sig_codes(self, min_size: int) -> tuple[np.ndarray, np.ndarray]:
+        """Plan-major strict-sig codes with node size >= ``min_size``.
+
+        Returns ``(codes, per-plan counts)``, the CSR of the surviving
+        subexpressions in walk order.
+        """
+        key = ("filtered", min_size)
+        cached = self._derived.get(key)
         if cached is None:
-            keep = np.asarray(self.sig_sizes, dtype=np.int64) >= min_size
-            cached = [codes[keep[codes]] for codes in self.plan_sig_codes]
-            self._filtered_cache[min_size] = cached
+            codes = self.col("sig_codes")
+            counts = self.col("sig_counts")
+            keep = self.col("sig_sizes")[codes] >= min_size
+            owner = np.repeat(np.arange(len(counts)), counts)
+            cached = (
+                codes[keep],
+                np.bincount(owner[keep], minlength=len(counts)),
+            )
+            self._derived[key] = cached
         return cached
 
     def sig_bytes(self) -> np.ndarray:
         """The signature pool as a fixed-width ascii array (for shm)."""
-        if self._sig_bytes is None:
-            self._sig_bytes = np.asarray(self.sig_names, dtype="S")
-        return self._sig_bytes
+        return self.col("sig_names")
 
     def sig_rows(self, min_size: int) -> tuple[np.ndarray, np.ndarray]:
         """Flat ``(job_row, sig_code)`` streams, job-major, walk order.
@@ -426,20 +699,12 @@ class DayChunk:
         ``subexpression_strict`` dicts produces — the invariant the
         byte-identical sharing statistics rest on.
         """
-        filt = self.filtered_sig_codes(min_size)
-        plan_codes = self.plan_codes.array()
+        codes, lens = self.filtered_sig_codes(min_size)
+        plan_codes = self.col("plan_codes")
         if not len(plan_codes):
             empty = np.empty(0, dtype=np.uint32)
             return empty, empty
-        lens = np.fromiter(
-            (len(a) for a in filt), dtype=np.int64, count=len(filt)
-        )
-        data = (
-            np.concatenate(filt)
-            if filt
-            else np.empty(0, dtype=np.uint32)
-        )
-        offs = np.concatenate(([0], np.cumsum(lens)))[:-1]
+        offs = np.cumsum(lens) - lens
         counts = lens[plan_codes]
         total = int(counts.sum())
         flat_job = np.repeat(
@@ -447,66 +712,25 @@ class DayChunk:
         )
         starts = np.repeat(offs[plan_codes], counts)
         base = np.repeat(np.cumsum(counts) - counts, counts)
-        flat_sig = data[starts + (np.arange(total) - base)]
+        flat_sig = codes[starts + (np.arange(total) - base)]
         return flat_job, flat_sig.astype(np.uint32, copy=False)
 
     # -- bookkeeping ---------------------------------------------------------
     def nbytes(self) -> int:
-        """Rough resident-size estimate driving the LRU budget."""
-        if self._nbytes_cache is None:
-            n = self.n
-            array_bytes = (
-                self.submit_hours.nbytes()
-                + self.plan_codes.nbytes()
-                + self.param_codes.nbytes()
-            )
-            sig_bytes = sum(codes.nbytes for codes in self.plan_sig_codes)
-            string_bytes = 64 * n  # job-id strings + list slots
-            # A unique plan retains its Expression tree plus memoized
-            # signature maps — ~2.9 KB resident, calibrated against RSS
-            # deltas at 100k jobs/day (36k plans -> ~120 MB/chunk).
-            pool_bytes = 2900 * len(self.plans) + sum(
-                len(s) + 56 for s in self.sig_names
-            )
-            deps_bytes = 120 * len(self.deps_map)
-            self._nbytes_cache = (
-                array_bytes + sig_bytes + string_bytes + pool_bytes + deps_bytes
-            )
-        return self._nbytes_cache
+        """Resident size driving the LRU budget: the column bytes."""
+        return sum(column.nbytes() for column in self.cols.values())
 
     def __getstate__(self) -> dict:
-        return {
-            "day": self.day,
-            "job_ids": self.job_ids,
-            "submit_hours": self.submit_hours.array(),
-            "plan_codes": self.plan_codes.array(),
-            "param_codes": self.param_codes.array(),
-            "plans": self.plans,
-            "plan_templates": self.plan_templates,
-            "plan_stricts": self.plan_stricts,
-            "plan_sig_codes": self.plan_sig_codes,
-            "sig_names": self.sig_names,
-            "sig_sizes": self.sig_sizes,
-            "params_pool": self.params_pool,
-            "deps_map": self.deps_map,
-        }
+        state = {"day": self.day}
+        state.update(self.columns())
+        return state
 
     def __setstate__(self, state: dict) -> None:
         self.__init__(state["day"])
-        self.job_ids = state["job_ids"]
-        self.submit_hours.extend(state["submit_hours"])
-        self.plan_codes.extend(state["plan_codes"])
-        self.param_codes.extend(state["param_codes"])
-        self.plans = state["plans"]
-        self.plan_templates = state["plan_templates"]
-        self.plan_stricts = state["plan_stricts"]
-        self.plan_sig_codes = state["plan_sig_codes"]
-        self.sig_names = state["sig_names"]
-        self.sig_sizes = state["sig_sizes"]
-        self.params_pool = state["params_pool"]
-        self.deps_map = state["deps_map"]
-        self._sig_index = None
+        for name in COLUMNS:
+            self.cols[name].extend(state[name])
         self.dirty = False
+
 
 
 # ---------------------------------------------------------------------------
@@ -519,9 +743,10 @@ class JobTable:
 
     ``memory_budget_bytes`` caps the estimated resident size of hot
     chunks; when exceeded (and ``spill_dir`` is set) the least recently
-    used cold day is pickled to ``spill_dir`` and dropped.  Without a
-    spill directory the table is fully in-memory and the budget is
-    inert — exactly the old repository behaviour.
+    used cold day is written to ``spill_dir`` as one ``.npz`` of its
+    column arrays and dropped.  Without a spill directory the table is
+    fully in-memory and the budget is inert — exactly the old
+    repository behaviour.
 
     Per-day uint64 id-hash indexes (12 bytes/job) stay resident even
     for spilled days, so duplicate detection and ``job()`` lookups
@@ -547,6 +772,10 @@ class JobTable:
         self.n_jobs = 0
         self.spills = 0
         self.loads = 0
+        # Wall seconds spent writing and reading chunk files
+        # (process-local timings: never pickled).
+        self.spill_s = 0.0
+        self.load_s = 0.0
         # Derived cache: one (hashes, days, rows) triple merge-sorted
         # across every closed day, so membership probes cost a single
         # searchsorted instead of one per historical day.  Lazily built,
@@ -569,8 +798,13 @@ class JobTable:
         name = self.chunk_files.get(day)
         if name is None:
             raise KeyError(day)
-        with (self.spill_dir / name).open("rb") as fh:
-            chunk = pickle.load(fh)
+        started = time.perf_counter()
+        # Plain arrays only: a spill file never unpickles Python objects.
+        with np.load(self.spill_dir / name, allow_pickle=False) as data:
+            chunk = DayChunk.from_columns(
+                day, {key: data[key] for key in data.files}
+            )
+        self.load_s += time.perf_counter() - started
         self.loads += 1
         self.chunks[day] = chunk
         self._enforce_budget()
@@ -689,7 +923,7 @@ class JobTable:
                 hi = int(np.searchsorted(seg_hashes, h, side="right"))
                 for at in range(lo, hi):
                     row = int(seg_rows[at])
-                    if self.chunks[day].job_ids[row] == job_id:
+                    if self.chunks[day].job_id(row) == job_id:
                         return row
             return None
         index = self.closed_index.get(day)
@@ -700,7 +934,7 @@ class JobTable:
         hi = int(np.searchsorted(idx_hashes, h, side="right"))
         for at in range(lo, hi):
             row = int(idx_rows[at])
-            if self.chunk(day).job_ids[row] == job_id:
+            if self.chunk(day).job_id(row) == job_id:
                 return row
         return None
 
@@ -717,7 +951,7 @@ class JobTable:
         for at in range(lo, hi):
             day = int(gl_days[at])
             row = int(gl_rows[at])
-            if self.chunk(day).job_ids[row] == job_id:
+            if self.chunk(day).job_id(row) == job_id:
                 return day, row
         return None
 
@@ -750,15 +984,18 @@ class JobTable:
         return chunk
 
     def append_batch(self, batch: JobBatch) -> DayChunk:
-        hashes = _hash_ids(batch.job_ids)
+        job_ids = batch.col("job_ids")
+        hashes = _hash_ids(job_ids)
         uniq, first, counts = np.unique(
             hashes, return_index=True, return_counts=True
         )
-        if (counts > 1).any() and len(set(batch.job_ids)) != len(batch.job_ids):
-            seen: set[str] = set()
-            for job_id in batch.job_ids:
+        if (counts > 1).any() and len(np.unique(job_ids)) != len(job_ids):
+            seen: set[bytes] = set()
+            for job_id in job_ids.tolist():
                 if job_id in seen:
-                    raise ValueError(f"job {job_id!r} already ingested")
+                    raise ValueError(
+                        f"job {job_id.decode()!r} already ingested"
+                    )
                 seen.add(job_id)
         chunk = self._ensure_open(batch.day)
         base_row = chunk.n
@@ -770,16 +1007,16 @@ class JobTable:
             lo = np.searchsorted(gl_hashes, uniq, side="left")
             hi = np.searchsorted(gl_hashes, uniq, side="right")
             for pos in np.nonzero(hi > lo)[0]:
-                job_id = batch.job_ids[int(first[pos])]
+                job_id = batch.job_id(int(first[pos]))
                 for at in range(int(lo[pos]), int(hi[pos])):
                     day = int(gl_days[at])
-                    if self.chunk(day).job_ids[int(gl_rows[at])] == job_id:
+                    if self.chunk(day).job_id(int(gl_rows[at])) == job_id:
                         raise ValueError(
                             f"job {job_id!r} already ingested"
                         )
         if self._open_map or self._open_segments:
             for pos in range(len(uniq)):
-                job_id = batch.job_ids[int(first[pos])]
+                job_id = batch.job_id(int(first[pos]))
                 if self._day_has(batch.day, job_id, uniq[pos]) is not None:
                     raise ValueError(f"job {job_id!r} already ingested")
         chunk.append_batch(batch)
@@ -799,19 +1036,32 @@ class JobTable:
     def hot_bytes(self) -> int:
         return sum(chunk.nbytes() for chunk in self.chunks.values())
 
-    def _spill_chunk(self, day: int) -> None:
-        chunk = self.chunks[day]
-        name = f"day-{day:05d}.chunk"
-        if chunk.dirty or day not in self.chunk_files:
-            path = self.spill_dir / name
-            self.spill_dir.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(path.name + ".tmp")
-            with tmp.open("wb") as fh:
-                pickle.dump(chunk, fh, protocol=4)
-            tmp.replace(path)
-            chunk.dirty = False
-            self.spills += 1
+    def _write_chunk(self, day: int, chunk: DayChunk) -> None:
+        """One atomic write of the chunk's arrays (tmp + rename)."""
+        started = time.perf_counter()
+        name = f"day-{day:05d}.npz"
+        path = self.spill_dir / name
+        self.spill_dir.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(name + ".tmp")
+        with tmp.open("wb") as fh:
+            np.savez(fh, **chunk.columns())
+        tmp.replace(path)
+        chunk.dirty = False
         self.chunk_files[day] = name
+        self.spill_s += time.perf_counter() - started
+
+    def spill(self, day: int) -> None:
+        """Write a closed hot day to the spill dir and drop it from memory.
+
+        The budget calls this on its LRU victims; a clean chunk whose
+        file is current is dropped without rewriting.
+        """
+        if day == self.open_day:
+            raise ValueError(f"day {day} is open: close it before spilling")
+        chunk = self.chunks[day]
+        if chunk.dirty or day not in self.chunk_files:
+            self._write_chunk(day, chunk)
+            self.spills += 1
         del self.chunks[day]
 
     def _enforce_budget(self) -> None:
@@ -823,7 +1073,7 @@ class JobTable:
             )
             if victim is None:
                 break
-            self._spill_chunk(victim)
+            self.spill(victim)
 
     def flush(self) -> None:
         """Write every dirty hot chunk to the spill dir (keeps them hot)."""
@@ -831,24 +1081,16 @@ class JobTable:
             return
         for day, chunk in self.chunks.items():
             if chunk.dirty or day not in self.chunk_files:
-                name = f"day-{day:05d}.chunk"
-                path = self.spill_dir / name
-                self.spill_dir.mkdir(parents=True, exist_ok=True)
-                tmp = path.with_name(path.name + ".tmp")
-                with tmp.open("wb") as fh:
-                    pickle.dump(chunk, fh, protocol=4)
-                tmp.replace(path)
-                chunk.dirty = False
-                self.chunk_files[day] = name
+                self._write_chunk(day, chunk)
 
     # -- iteration -----------------------------------------------------------
     def iter_id_deps(self):
         """(job_id, depends_on) pairs in global ingestion order, lazily."""
         for day in self.day_order:
             chunk = self.chunk(day)
-            deps_map = chunk.deps_map
-            for row, job_id in enumerate(chunk.job_ids):
-                yield job_id, deps_map.get(row, ())
+            deps = chunk.deps_by_row()
+            for row, job_id in enumerate(chunk.job_id_list()):
+                yield job_id, deps.get(row, ())
 
     def stats(self) -> dict:
         return {
@@ -860,6 +1102,8 @@ class JobTable:
             "memory_budget_bytes": self.memory_budget_bytes,
             "spills": self.spills,
             "loads": self.loads,
+            "spill_s": self.spill_s,
+            "load_s": self.load_s,
         }
 
     # -- pickling ------------------------------------------------------------
@@ -917,9 +1161,7 @@ class _RecordsView:
     def __iter__(self):
         table = self._repo._table
         for day in table.day_order:
-            chunk = table.chunk(day)
-            for row in range(chunk.n):
-                yield chunk.record(row)
+            yield from table.chunk(day).iter_records()
 
     def _locate(self, index: int) -> JobRecord:
         table = self._repo._table
@@ -1031,11 +1273,19 @@ class WorkloadRepository:
             batch = JobBatch.from_jobs(batch)
         self._note_day_rollover(batch.day)
         self._table.append_batch(batch)
-        plan_rows = np.bincount(
-            batch.plan_codes, minlength=len(batch.plans)
+        # Templates are a function of the skeleton, and skeletons are
+        # interned in plan order: folding rows per skeleton visits
+        # templates in the same first-sighting order as per plan.
+        plan_rows = np.bincount(batch.plan_codes, minlength=batch.n_plans)
+        skel_rows = np.bincount(
+            batch.plan_skels,
+            weights=plan_rows,
+            minlength=len(batch.skeletons),
         )
-        for template, rows in zip(batch.plan_templates, plan_rows):
-            self._track_templates(template, batch.day, int(rows))
+        for template, rows in zip(
+            batch.skel_templates.tolist(), skel_rows.tolist()
+        ):
+            self._track_templates(template.decode(), batch.day, int(rows))
         self._invalidate_day(batch.day)
         return len(batch)
 
@@ -1071,22 +1321,15 @@ class WorkloadRepository:
         if cached is not None and not closing:
             return cached
         chunk = self._table.chunk(day)
-        involved: set[str] = set()
-        foreign = False
-        own_ids: set[str] | None = None
-        for row, deps in chunk.deps_map.items():
-            involved.add(chunk.job_ids[row])
-            involved.update(deps)
-            if not foreign:
-                if own_ids is None:
-                    own_ids = set(chunk.job_ids)
-                foreign = any(dep not in own_ids for dep in deps)
-        if foreign:
+        dep_ids = chunk.col("dep_ids")
+        job_ids = chunk.col("job_ids")
+        involved = np.concatenate([job_ids[chunk.col("dep_rows")], dep_ids])
+        if len(dep_ids) and not np.isin(dep_ids, job_ids).all():
             # A dependency names a job outside this day: per-day counts
             # are no longer disjoint, so analysis falls back to the
             # exact global union.
             self._dep_fallback = True
-        count = len(involved)
+        count = int(np.unique(involved).size)
         self._closed_involved[day] = count
         return count
 
@@ -1130,18 +1373,21 @@ class WorkloadRepository:
         chunk = self._table.chunk(day)
         flat_job, flat_sig = chunk.sig_rows(min_size)
         if len(flat_sig):
-            per_sig = np.bincount(flat_sig, minlength=len(chunk.sig_names))
+            sig_names = chunk.col("sig_names")
+            per_sig = np.bincount(flat_sig, minlength=len(sig_names))
             shared_mask = per_sig > 1
             flat_shared = shared_mask[flat_sig]
             n_sharing = int(np.unique(flat_job[flat_shared]).size)
             codes, first_pos = np.unique(flat_sig, return_index=True)
             keep = shared_mask[codes]
             codes, first_pos = codes[keep], first_pos[keep]
-            order = np.argsort(first_pos, kind="stable")
-            shared = {
-                chunk.sig_names[int(code)]: int(per_sig[int(code)])
-                for code in codes[order]
-            }
+            codes = codes[np.argsort(first_pos, kind="stable")]
+            shared = dict(
+                zip(
+                    (name.decode() for name in sig_names[codes].tolist()),
+                    per_sig[codes].tolist(),
+                )
+            )
         else:
             n_sharing = 0
             shared = {}

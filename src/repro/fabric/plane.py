@@ -174,6 +174,8 @@ class ControlPlane:
         self.pool = get_pool()
         self._obs: "ObservabilityRuntime | None" = None
         self._store: "CheckpointStore | None" = None
+        #: Day a ``run_days`` call in progress advances to (else None).
+        self._run_target: int | None = None
         self._lifecycle_mirrored = 0
         if obs is not None:
             self.bind(obs)
@@ -458,12 +460,14 @@ class ControlPlane:
         """Advance the fabric ``n_days`` simulated days."""
         if n_days < 1:
             raise ValueError("n_days must be >= 1")
-        horizon = (self.day + n_days) * DAY
-        with self._span(
-            "fabric.run", from_day=self.day, to_day=self.day + n_days
-        ):
-            self.queue.run(until=horizon - _RUN_MARGIN)
-        self.day += n_days
+        target = self.day + n_days
+        with self._span("fabric.run", from_day=self.day, to_day=target):
+            self._run_target = target
+            try:
+                self.queue.run(until=target * DAY - _RUN_MARGIN)
+            finally:
+                self._run_target = None
+        self.day = target
         self._emit("run_complete", value=float(n_days))
         return self
 
@@ -494,8 +498,17 @@ class ControlPlane:
         return self
 
     def _persist(self) -> None:
-        if self._store is not None:
-            self._store.save(self)
+        if self._store is None:
+            return
+        target = self._run_target
+        if target is not None:
+            upcoming = self.queue.next_time()
+            if upcoming is None or upcoming > target * DAY - _RUN_MARGIN:
+                # The last frame of this run_days call: nothing else
+                # runs before the horizon, so the frame already holds
+                # the finished days and a restore resumes at ``target``.
+                self.day = target
+        self._store.save(self)
 
     def checkpoint(self, path, version: int = 2) -> None:
         """Snapshot fabric state to ``path`` (see :mod:`repro.fabric.store`)."""

@@ -224,22 +224,29 @@ class JobPairsView:
     The plan-facing services (steering, CloudViews) optimize every plan
     they see, so at streaming scale they sample the first ``head`` jobs
     of each day — the repository still ingests the full stream.  Pairs
-    are read straight off the shared day batch's columns (job ids plus
-    the interned plan pool), so the plan-facing sample and the
-    repository ingest share one generation per day.
+    are read straight off the shared day batch's columns: plan trees
+    are built only for the head, once per plan code, and every reader
+    of the day gets the same objects (:meth:`JobBatch.plan`), so the
+    plan-facing sample and the repository ingest share one generation
+    per day.
     """
 
     def __init__(self, source: StreamingJobSource, head: int | None) -> None:
         self.source = source
         self.head = head
 
+    @property
+    def days(self) -> range:
+        """The days the source serves, in order."""
+        return range(self.source.days)
+
     def get(self, day: int, default=None):
         batch = self.source.day_batch(day)
         if batch is None or not len(batch):
             return default
         n = len(batch) if self.head is None else min(self.head, len(batch))
-        plans = batch.plans
-        codes = batch.plan_codes
+        ids = batch.col("job_ids")[:n].tolist()
         return [
-            (batch.job_ids[i], plans[int(codes[i])]) for i in range(n)
+            (job_id.decode(), batch.plan(code))
+            for job_id, code in zip(ids, batch.plan_codes[:n].tolist())
         ]

@@ -120,5 +120,9 @@ class EventQueue:
         self._heap.clear()
         return dropped
 
+    def next_time(self) -> float | None:
+        """Time of the next pending event, or ``None`` when drained."""
+        return self._heap[0].time if self._heap else None
+
     def __len__(self) -> int:
         return len(self._heap)

@@ -82,10 +82,12 @@ class TrafficGenerator:
             from repro.engine import signatures
 
             jobs = getattr(driver, "jobs_by_day", {})
+            # A dict of days, or a streaming view with a ``days`` range.
+            days = sorted(jobs) if isinstance(jobs, dict) else jobs.days
             templates: list[str] = []
             seen: set[str] = set()
-            for day in sorted(jobs):
-                for _, plan in jobs[day]:
+            for day in days:
+                for _, plan in jobs.get(day, ()):
                     template = signatures(plan).template
                     if template not in seen:
                         seen.add(template)

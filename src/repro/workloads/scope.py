@@ -48,6 +48,7 @@ from repro.engine.signatures import (
     enumerate_all_signatures,
     signatures,
 )
+from repro.engine.skeleton import plan_skeleton, skeleton_text
 from repro.parallel import DEFAULT_N_SHARDS, shard_items
 
 if TYPE_CHECKING:
@@ -319,6 +320,7 @@ class _AdhocShape:
     root_pre: bytes          # strict root payload up to the child sig
     root_size: int           # node count of the full plan
     root_template: str       # template signature of the full plan
+    skeleton: str            # the plan's skeleton text (literal masked)
     scan_node: Scan          # shared scan instances: plans differ only
     jscan_node: Scan | None  # in the predicate literal above the scans
     aggregate: bool
@@ -942,6 +944,16 @@ class ScopeWorkloadGenerator:
         root_desc = (
             f"Aggregate:{column}" if aggregate else f"Project:{column},key"
         )
+        # The skeleton of the tree _stamp_adhoc_plan builds, written
+        # directly (see repro.engine.skeleton for the encoding).
+        skeleton = ["F", ["S", table], [[column, "<=", "f"]]]
+        if join_table is not None:
+            skeleton = ["J", skeleton, ["S", join_table], "key", "key"]
+        skeleton = (
+            ["A", skeleton, [column]]
+            if aggregate
+            else ["P", skeleton, [column, "key"]]
+        )
         if len(self._adhoc_shapes) >= self._ADHOC_SHAPE_CAP:
             # FIFO-evict: shapes are pure functions of the key, so a
             # re-derived shape is identical — the cap only bounds
@@ -961,6 +973,7 @@ class ScopeWorkloadGenerator:
             root_pre=f"{root_desc}(".encode(),
             root_size=root_size,
             root_template=_digest(f"{root_desc}({top_template})"),
+            skeleton=skeleton_text(skeleton),
             scan_node=Scan(table),
             jscan_node=Scan(join_table) if join_table is not None else None,
             aggregate=aggregate,
@@ -974,20 +987,20 @@ class ScopeWorkloadGenerator:
 
         Bit-identical to ``JobBatch.from_jobs(self.day_jobs(day))`` —
         same columns, pools, interning order, and RNG advancement — but
-        no per-job ``Job`` objects, no Python sort, and only 2–3 SHA1
-        calls per unique ad-hoc plan instead of a full signature pass:
-        recurring instances are stamped from one per-template skeleton
-        via columnar repeats, and the day never exists as a
-        million-element list.  Interleaves freely with
-        :meth:`day_jobs`/:meth:`stream_days` (shared day-state cache).
+        no per-job ``Job`` objects, no plan trees, no Python sort, and
+        only 2–3 SHA1 calls per unique ad-hoc plan instead of a full
+        signature pass: recurring instances share one per-template plan
+        via columnar repeats, ad-hoc plans are a cached shape skeleton
+        plus one literal, and the day never exists as a million-element
+        list.  Interleaves freely with :meth:`day_jobs`/
+        :meth:`stream_days` (shared day-state cache).
         """
         if day < 0:
             raise ValueError("day must be >= 0")
         rng = self._replay_to(day)
-        # One day is a pure allocation burst of acyclic objects (frozen
-        # plan trees, strings, arrays): pausing collection while it runs
-        # saves the collector re-scanning a million young objects it can
-        # never free (~30% of wall time at 1M jobs/day).
+        # One day is an allocation burst of acyclic objects (strings,
+        # digests, small lists): pausing collection while it runs saves
+        # the collector re-scanning young objects it can never free.
         was_enabled = gc.isenabled()
         if was_enabled:
             gc.disable()
@@ -1011,14 +1024,15 @@ class ScopeWorkloadGenerator:
         n_adhoc = self.adhoc_per_day
 
         # Per-ref pools in draw order (refs 0..T-1 are the recurring
-        # skeletons, T..T+A-1 the ad-hoc plans).  Signature names and
-        # node sizes go into one flat draw-order stream with per-ref
-        # lengths; a single vectorized gather permutes them to plan-code
-        # order below instead of juggling 350k small lists.
-        ref_plans: list[Expression] = []
+        # plans, T..T+A-1 the ad-hoc plans).  Literals and signature
+        # digests go into flat draw-order streams with per-ref lengths;
+        # vectorized gathers permute them to plan-code order below.
+        ref_skels: list[str] = []
         ref_templates: list[str] = []
-        ref_stricts: list[str] = []
-        ref_params: list[dict | None] = []
+        ref_stricts: list[bytes] = []      # raw 8-byte strict digests
+        ref_params: list[dict] = []        # recurring refs only
+        lits_flat: list[float] = []
+        ref_arity: list[int] = []
         names_flat: list[bytes] = []
         sizes_flat: list[int] = []
         ref_lens: list[int] = []
@@ -1027,9 +1041,12 @@ class ScopeWorkloadGenerator:
             plan, params = template.instantiate(day, cfg.drift_per_day)
             strict_map, _template_map = enumerate_all_signatures(plan)
             sigs = signatures(plan)
-            ref_plans.append(plan)
+            text, literals = plan_skeleton(plan)
+            ref_skels.append(text)
             ref_templates.append(sigs.template)
-            ref_stricts.append(sigs.strict)
+            ref_stricts.append(bytes.fromhex(sigs.strict))
+            lits_flat.extend(literals)
+            ref_arity.append(len(literals))
             names_flat.extend(bytes.fromhex(s) for s in strict_map)
             sizes_flat.extend(node.size for node in strict_map.values())
             ref_lens.append(len(strict_map))
@@ -1046,17 +1063,18 @@ class ScopeWorkloadGenerator:
         # each draw runs on prebound locals.  The signature block mirrors
         # ``enumerate_all_signatures``'s post-order walk with setdefault
         # dedup — the joined scan re-reading the filtered base table is
-        # the only duplicate a 4-node ad-hoc shape can produce.
+        # the only duplicate a 4-node ad-hoc shape can produce.  Each
+        # plan is its shape's skeleton plus one literal: no tree.
         producers = self._day_producers(day)
         adhoc_hours = np.empty(n_adhoc, dtype=np.float64)
         draws = self._adhoc_draws
         get_shape = self._adhoc_shape
         _sha1 = sha1
         _hex = hexlify
-        plans_append = ref_plans.append
+        skels_append = ref_skels.append
         templates_append = ref_templates.append
         stricts_append = ref_stricts.append
-        params_append = ref_params.append
+        lits_append = lits_flat.append
         names_extend = names_flat.extend
         sizes_extend = sizes_flat.extend
         lens_append = ref_lens.append
@@ -1096,10 +1114,11 @@ class ScopeWorkloadGenerator:
                 names_extend((shape.scan_raw, filt_raw, root_raw))
                 sizes_extend((1, 2, shape.root_size))
                 lens_append(3)
-            plans_append(_stamp_adhoc_plan(shape, column, value))
+            skels_append(shape.skeleton)
             templates_append(shape.root_template)
-            stricts_append(root_raw.hex())
-            params_append(None)
+            stricts_append(root_raw)
+            lits_append(value)
+        ref_arity.extend([1] * n_adhoc)
 
         # Stable sort by submit hour == the legacy per-day Python sort.
         hours = (
@@ -1115,7 +1134,7 @@ class ScopeWorkloadGenerator:
         sorted_refs = refs[order]
 
         # Plan codes by first appearance in sorted order — the exact
-        # ``plan_index.setdefault`` numbering of ``JobBatch.from_jobs``.
+        # ``plan_index`` numbering of ``JobBatch.from_jobs``.
         uniq, first_idx, inverse = np.unique(
             sorted_refs, return_index=True, return_inverse=True
         )
@@ -1127,70 +1146,106 @@ class ScopeWorkloadGenerator:
         ref_order = ref_order_arr.tolist()
 
         all_tails = rec_tails + self._adhoc_tails()
-        order_list = order.tolist()
-        job_ids = [prefix + all_tails[i] for i in order_list]
-
-        # Pools in plan-code order; signature interning in first-sighting
-        # order across plans — one gather permutes the draw-order name
-        # stream to plan-code order, then ``np.unique`` over the
-        # fixed-width digest bytes plus an appearance-rank remap replaces
-        # a million dict probes with a handful of array ops.  One params
-        # entry per plan (``from_jobs`` keys params on the plan code, so
-        # codes and param codes agree).
-        plans = [ref_plans[r] for r in ref_order]
-        plan_templates = [ref_templates[r] for r in ref_order]
-        plan_stricts = [ref_stricts[r] for r in ref_order]
-        params_pool: list[dict] = []
-        for r in ref_order:
-            params = ref_params[r]
-            params_pool.append({} if params is None else dict(params))
-        lens_draw = np.asarray(ref_lens, dtype=np.int64)
-        offs_draw = np.concatenate(([0], np.cumsum(lens_draw)))[:-1]
-        # Raw 8-byte digests are bijective with the 16-hex-char names,
-        # so dedup runs on a uint64 view (~6x faster than S16 strings)
-        # and only the surviving pool is hexlified, wholesale.
-        flat_draw = np.frombuffer(b"".join(names_flat), dtype=np.uint64)
-        sizes_draw = np.asarray(sizes_flat, dtype=np.int64)
-        lens_sorted = lens_draw[ref_order_arr]
-        total = int(lens_sorted.sum())
-        seg_base = np.repeat(np.cumsum(lens_sorted) - lens_sorted, lens_sorted)
-        gather = (
-            np.repeat(offs_draw[ref_order_arr], lens_sorted)
-            + np.arange(total, dtype=np.int64)
-            - seg_base
+        job_ids = np.asarray(
+            [prefix + all_tails[i] for i in order.tolist()], dtype="S"
         )
-        flat_sorted = flat_draw[gather]
+
+        # Skeletons interned in plan-code order (the first plan of a
+        # skeleton names its template); one params entry per plan
+        # (``from_jobs`` keys params on the plan code, so codes and
+        # param codes agree).
+        skel_index: dict[str, int] = {}
+        skeletons: list[str] = []
+        skel_templates: list[str] = []
+        skel_arity: list[int] = []
+        plan_skels = np.empty(len(ref_order), dtype=np.uint32)
+        for i, r in enumerate(ref_order):
+            text = ref_skels[r]
+            code = skel_index.get(text)
+            if code is None:
+                code = skel_index[text] = len(skeletons)
+                skeletons.append(text)
+                skel_templates.append(ref_templates[r])
+                skel_arity.append(ref_arity[r])
+            plan_skels[i] = code
+        param_counts = np.zeros(len(ref_order), dtype=np.uint32)
+        param_names: dict[str, int] = {}
+        param_keys: list[int] = []
+        param_values: list[float] = []
+        for i in np.flatnonzero(ref_order_arr < n_templates).tolist():
+            params = ref_params[ref_order[i]]
+            param_counts[i] = len(params)
+            for name, value in params.items():
+                param_keys.append(param_names.setdefault(name, len(param_names)))
+                param_values.append(value)
+
+        # Signature interning in first-sighting order across plans: one
+        # gather permutes the draw-order digest stream to plan-code
+        # order, then ``np.unique`` over the raw 8-byte digests (a
+        # uint64 view, bijective with the 16-hex-char names) plus an
+        # appearance-rank remap replaces a million dict probes; only
+        # the surviving pool is hexlified, wholesale.
+        flat_draw = np.frombuffer(b"".join(names_flat), dtype=np.uint64)
+        sizes_draw = np.asarray(sizes_flat, dtype=np.uint32)
+        lens_sorted, gather = _csr_gather(ref_lens, ref_order_arr)
         uniq_names, name_first, name_inverse = np.unique(
-            flat_sorted, return_index=True, return_inverse=True
+            flat_draw[gather], return_index=True, return_inverse=True
         )
         name_rank = np.argsort(name_first, kind="stable")
         sig_code_of = np.empty(len(uniq_names), dtype=np.uint32)
         sig_code_of[name_rank] = np.arange(len(uniq_names), dtype=np.uint32)
-        codes_flat = sig_code_of[name_inverse].astype(np.uint32, copy=False)
-        plan_sig_codes = np.split(codes_flat, np.cumsum(lens_sorted)[:-1])
-        hex_pool = uniq_names[name_rank].tobytes().hex()
-        sig_names = [
-            hex_pool[i:i + 16] for i in range(0, len(hex_pool), 16)
-        ]
-        sig_sizes = sizes_draw[gather[name_first[name_rank]]].tolist()
+        _arity_sorted, lit_gather = _csr_gather(ref_arity, ref_order_arr)
 
         inv = np.empty(len(order), dtype=np.int64)
         inv[order] = np.arange(len(order))
-        deps_rows = sorted(
-            (int(inv[pre]), deps) for pre, deps in pre_deps.items()
-        )
+        dep_pre = list(pre_deps)
+        dep_order = np.argsort(inv[dep_pre], kind="stable").tolist()
+        dep_lists = [pre_deps[dep_pre[i]] for i in dep_order]
         return JobBatch(
             day=day,
             job_ids=job_ids,
             submit_hours=hours[order],
             plan_codes=plan_codes,
             param_codes=plan_codes.copy(),
-            plans=plans,
-            plan_templates=plan_templates,
-            plan_stricts=plan_stricts,
-            plan_sig_codes=plan_sig_codes,
-            sig_names=sig_names,
-            sig_sizes=sig_sizes,
-            params_pool=params_pool,
-            deps_map=dict(deps_rows),
+            skeletons=skeletons,
+            skel_templates=skel_templates,
+            skel_arity=skel_arity,
+            plan_skels=plan_skels,
+            plan_stricts=_hex_digests(b"".join([ref_stricts[r] for r in ref_order])),
+            sig_counts=lens_sorted,
+            literals=np.asarray(lits_flat, dtype=np.float64)[lit_gather],
+            sig_codes=sig_code_of[name_inverse],
+            sig_names=_hex_digests(uniq_names[name_rank].tobytes()),
+            sig_sizes=sizes_draw[gather[name_first[name_rank]]],
+            param_names=list(param_names),
+            param_counts=param_counts,
+            param_keys=param_keys,
+            param_values=param_values,
+            dep_rows=np.sort(inv[dep_pre]),
+            dep_counts=[len(deps) for deps in dep_lists],
+            dep_ids=[dep for deps in dep_lists for dep in deps],
         )
+
+
+def _csr_gather(lens: list[int], order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reorder CSR segments: ``(lengths in order, flat gather index)``.
+
+    Segment ``i`` of the result is segment ``order[i]`` of a flat stream
+    laid out with per-segment ``lens``.
+    """
+    lens_arr = np.asarray(lens, dtype=np.int64)
+    starts = np.cumsum(lens_arr) - lens_arr
+    lens_sorted = lens_arr[order]
+    total = int(lens_sorted.sum())
+    seg_base = np.repeat(np.cumsum(lens_sorted) - lens_sorted, lens_sorted)
+    gather = (
+        np.repeat(starts[order], lens_sorted)
+        + np.arange(total, dtype=np.int64)
+        - seg_base
+    )
+    return lens_sorted.astype(np.uint32), gather
+
+
+def _hex_digests(raw: bytes) -> np.ndarray:
+    """Concatenated raw 8-byte digests as an ``S16`` array of hex names."""
+    return np.frombuffer(hexlify(raw), dtype="S16")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.peregrine import JobBatch, WorkloadRepository, analyze
-from repro.core.peregrine.repository import _hash_ids
+from repro.core.peregrine.repository import COLUMNS, _hash_ids
 from repro.workloads.scope import ScopeWorkloadConfig, ScopeWorkloadGenerator
 
 
@@ -196,3 +196,99 @@ class TestRepositoryViews:
         assert [r.job_id for r in repo.by_day(1)] == [
             j.job_id for j in day1
         ]
+
+
+class TestChunkFormat:
+    """A day chunk is flat arrays: spilled, reloaded and pickled as such."""
+
+    def test_nbytes_is_the_column_bytes(self, workload):
+        repo = _batched(workload)
+        for day in range(4):
+            chunk = repo._table.chunk(day)
+            columns = chunk.columns()
+            assert list(columns) == list(COLUMNS)
+            assert chunk.nbytes() == sum(a.nbytes for a in columns.values())
+
+    def test_nbytes_tracks_per_job_appends(self, workload):
+        repo = WorkloadRepository()
+        for job in workload.by_day(0)[:40]:
+            repo.ingest_job(job)
+        chunk = repo._table.chunk(0)
+        assert chunk.nbytes() == sum(
+            a.nbytes for a in chunk.columns().values()
+        )
+
+    def test_spill_file_is_plain_arrays(self, workload, tmp_path):
+        repo = _batched(
+            workload, memory_budget_bytes=1, spill_dir=tmp_path / "chunks"
+        )
+        files = sorted((tmp_path / "chunks").iterdir())
+        assert [f.name for f in files] == [
+            f"day-{day:05d}.npz" for day in range(3)
+        ]
+        for path in files:
+            with np.load(path, allow_pickle=False) as data:
+                assert sorted(data.files) == sorted(COLUMNS)
+                for name in data.files:
+                    assert data[name].dtype != object
+
+    def test_reload_never_unpickles(self, workload, reference, tmp_path,
+                                    monkeypatch):
+        repo = _batched(
+            workload, memory_budget_bytes=1, spill_dir=tmp_path / "chunks"
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a chunk reload unpickled an object")
+
+        monkeypatch.setattr(pickle, "load", refuse)
+        monkeypatch.setattr(pickle, "loads", refuse)
+        job_id = workload.by_day(0)[3].job_id
+        assert repo.job(job_id) == reference.job(job_id)
+        assert repo.chunk_stats()["loads"] >= 1
+
+    def test_reopened_spilled_day_matches_unspilled_twin(
+        self, workload, tmp_path
+    ):
+        day0 = list(workload.by_day(0))
+        day1 = list(workload.by_day(1))
+        spilled = WorkloadRepository(
+            memory_budget_bytes=1, spill_dir=tmp_path / "chunks"
+        )
+        twin = WorkloadRepository()
+        for repo in (spilled, twin):
+            repo.ingest_batch(JobBatch.from_jobs(day0[:25]))
+            repo.ingest_batch(JobBatch.from_jobs(day1))  # closes day 0
+        assert 0 in spilled._table.chunk_files
+        assert 0 not in spilled._table.chunks  # day 0 lives on disk
+        for repo in (spilled, twin):
+            repo.ingest_batch(JobBatch.from_jobs(day0[25:]))  # reopens it
+        assert dataclasses.asdict(analyze(spilled)) == dataclasses.asdict(
+            analyze(twin)
+        )
+        assert spilled.day_sharing_summary(0) == twin.day_sharing_summary(0)
+        for got, want in zip(spilled.by_day(0), twin.by_day(0)):
+            assert got == want
+        assert [r.job_id for r in spilled.by_day(0)] == [
+            j.job_id for j in day0
+        ]
+
+    def test_pickled_chunk_holds_no_engine_objects(self, workload):
+        repo = _batched(workload)
+        chunk = repo._table.chunk(1)
+        blob = pickle.dumps(chunk)
+        assert b"repro.engine" not in blob
+        clone = pickle.loads(blob)
+        assert clone.nbytes() == chunk.nbytes()
+        for name, column in chunk.columns().items():
+            assert np.array_equal(clone.col(name), column)
+        assert clone.record(7) == chunk.record(7)
+
+    def test_pickled_batch_holds_no_engine_objects(self, workload):
+        batch = JobBatch.from_jobs(list(workload.by_day(2)))
+        batch.plan(0)  # the lazily built tree cache never travels
+        blob = pickle.dumps(batch)
+        assert b"repro.engine" not in blob
+        clone = pickle.loads(blob)
+        assert clone._plans == {}
+        assert clone.plan(0) == batch.plan(0)

@@ -18,7 +18,7 @@ import pytest
 from repro.core.peregrine.analysis import analyze
 from repro.core.peregrine.repository import JobBatch, WorkloadRepository
 from repro.engine import Scan
-from repro.workloads.scope import ScopeWorkloadConfig, ScopeWorkloadGenerator
+from repro.workloads.scope import Job, ScopeWorkloadConfig, ScopeWorkloadGenerator
 
 
 def tiny_batch(
@@ -27,22 +27,19 @@ def tiny_batch(
     sig_sizes: list[int],
     n_jobs: int = 2,
 ) -> JobBatch:
-    """A hand-built one-plan batch with a controlled signature pool."""
-    return JobBatch(
-        day=day,
-        job_ids=[f"d{day}-j{k}" for k in range(n_jobs)],
-        submit_hours=np.arange(n_jobs, dtype=np.float64),
-        plan_codes=np.zeros(n_jobs, dtype=np.uint32),
-        param_codes=np.zeros(n_jobs, dtype=np.uint32),
-        plans=[Scan(f"t{day}")],
-        plan_templates=[f"tmpl{day}"],
-        plan_stricts=[f"strict{day}"],
-        plan_sig_codes=[np.arange(len(sig_names), dtype=np.uint32)],
-        sig_names=sig_names,
-        sig_sizes=sig_sizes,
-        params_pool=[{}],
-        deps_map={},
+    """A one-plan batch with a hand-controlled signature pool."""
+    plan = Scan(f"t{day}")
+    batch = JobBatch.from_jobs(
+        [
+            Job(job_id=f"d{day}-j{k}", plan=plan, submit_hour=24.0 * day + k)
+            for k in range(n_jobs)
+        ]
     )
+    batch.sig_names = np.asarray(sig_names, dtype="S")
+    batch.sig_sizes = np.asarray(sig_sizes, dtype=np.uint32)
+    batch.sig_counts = np.asarray([len(sig_names)], dtype=np.uint32)
+    batch.sig_codes = np.arange(len(sig_names), dtype=np.uint32)
+    return batch
 
 
 def fresh_table(repo_days, min_size):

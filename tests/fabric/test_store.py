@@ -299,3 +299,42 @@ class TestFormatMigration:
         assert "tuner" not in payload["state"]  # @1 stays bit-compatible
         restored = CheckpointStore.load(tmp_path / "legacy.ckpt")
         assert restored.day == 1
+
+
+class TestPerTickChain:
+    """A chain persisted after every tick restores at the day it holds."""
+
+    FLEET = ("moneyball", "doppler")
+
+    def _fleet(self, days: int) -> ControlPlane:
+        from repro.fabric import FleetConfig, build_fleet
+
+        plane = ControlPlane()
+        build_fleet(plane, FleetConfig(seed=0, days=days, include=self.FLEET))
+        return plane
+
+    def test_restore_reports_the_days_run_and_resumes_identically(
+        self, tmp_path
+    ):
+        run, total = 3, 5
+        straight = self._fleet(total)
+        straight.run_days(total)
+        expected = straight.report_bytes()
+        straight.close()
+
+        plane = self._fleet(total)
+        store = CheckpointStore(tmp_path / "store")
+        plane.attach_store(store)
+        for _ in range(run):
+            plane.run_days(1)
+        # One frame per tick: fixing the day adds no frame per call.
+        assert len(store.frames()) == plane.total_ticks
+        plane.close()
+
+        restored = ControlPlane.restore(tmp_path / "store")
+        assert restored.day == run
+        restored.attach_store(CheckpointStore(tmp_path / "store"))
+        restored.run_days(total - restored.day)
+        assert restored.day == total
+        assert restored.report_bytes() == expected
+        restored.close()

@@ -2,6 +2,8 @@
 
 import pickle
 
+import numpy as np
+
 import pytest
 
 from repro.fabric import (
@@ -72,9 +74,11 @@ class TestFleetStreaming:
         ).resolve_streaming()
 
     def test_streaming_fleet_runs_and_ingests_full_days(self, tmp_path):
+        # ~0.6 MiB of columns per day: the second day pushes the first
+        # out of the 1 MiB budget.
         config = FleetConfig(
             days=2,
-            jobs_per_day=1200,
+            jobs_per_day=6000,
             include=("peregrine", "steering"),
             streaming=True,
             repo_memory_budget_mb=1,
@@ -170,8 +174,8 @@ class TestDayBatchSource:
         for day in range(2):
             theirs = plain.day_batch(day)
             mine = forced.day_batch(day)
-            assert mine.job_ids == theirs.job_ids
-            assert mine.sig_names == theirs.sig_names
+            assert np.array_equal(mine.job_ids, theirs.job_ids)
+            assert np.array_equal(mine.sig_names, theirs.sig_names)
         assert forced.prefetch_hits == 0
 
     def test_overlap_auto_disabled_under_pytest(self):
@@ -191,7 +195,9 @@ class TestDayBatchSource:
         clone = pickle.loads(pickle.dumps(source))
         assert clone._batch_cache is None
         assert clone._pending is None
-        assert clone.day_batch(0).job_ids == source.day_batch(0).job_ids
+        assert np.array_equal(
+            clone.day_batch(0).job_ids, source.day_batch(0).job_ids
+        )
 
     @pytest.mark.skipif(
         "REPRO_PARALLEL_FORCE" not in __import__("os").environ,
@@ -207,11 +213,8 @@ class TestDayBatchSource:
         for day in range(3):
             theirs = plain.day_batch(day)
             mine = overlapped.day_batch(day)
-            assert mine.job_ids == theirs.job_ids
-            assert mine.sig_names == theirs.sig_names
-            assert list(mine.deps_map.items()) == list(
-                theirs.deps_map.items()
-            )
+            for name, column in theirs.columns().items():
+                assert np.array_equal(mine.col(name), column), name
         assert overlapped.prefetch_hits >= 1
 
     @pytest.mark.skipif(

@@ -207,3 +207,30 @@ class TestTrafficGenerator:
         payload = json.loads(json.dumps(plane.stats()))
         assert payload["requests"] == 10
         assert "p99" in payload["latency"]
+
+    def test_streaming_fleet_builds_a_steering_pool(self):
+        # A streaming fleet hands steering a day view, not a dict of
+        # days: the template pool comes from the view's day range.
+        plane = ControlPlane()
+        build_fleet(
+            plane,
+            FleetConfig(
+                seed=0,
+                days=2,
+                jobs_per_day=1200,
+                include=("steering", "peregrine"),
+                streaming=True,
+            ),
+        )
+        try:
+            plane.run_days(1)
+            generator = TrafficGenerator(
+                plane, seed=0, mix={"steering": 1.0, "peregrine": 1.0}
+            )
+            assert "steering" in generator.endpoints()
+            _op, templates, _params = generator.pools["steering"]
+            assert templates and len(set(templates)) == len(templates)
+            endpoints = {endpoint for endpoint, _r in generator.stream(40)}
+            assert "steering" in endpoints
+        finally:
+            plane.close()

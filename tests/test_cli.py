@@ -221,6 +221,21 @@ class TestFailureExits:
         assert "repro fabric: error:" in err
         assert "nothing to run" in err
 
+    def test_resume_of_a_finished_per_tick_chain_runs_nothing(self, tmp_path):
+        # The last frame of a per-tick chain holds every day run, so
+        # resuming it to the same target reproduces the report as is.
+        store = tmp_path / "store"
+        straight, resumed = tmp_path / "straight.json", tmp_path / "resumed.json"
+        assert main([
+            "fabric", "--days", "2", "--services", "doppler",
+            "--store", str(store), "--report-out", str(straight),
+        ]) == 0
+        assert main([
+            "fabric", "--days", "2", "--resume", str(store),
+            "--report-out", str(resumed),
+        ]) == 0
+        assert resumed.read_bytes() == straight.read_bytes()
+
 
 class TestTraceCommand:
     """The end-to-end traced scenario: workload -> engine -> service."""

@@ -15,28 +15,36 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core.peregrine.repository import JobBatch
+from repro.core.peregrine.repository import COLUMNS, JobBatch
+from repro.engine.signatures import signatures
 from repro.workloads.scope import ScopeWorkloadConfig, ScopeWorkloadGenerator
 
 
-def assert_batches_identical(batch: JobBatch, ref: JobBatch) -> None:
-    """Field-by-field structural equality (pools compared by value)."""
+def assert_batches_identical(
+    batch: JobBatch, ref: JobBatch, jobs: list | None = None
+) -> None:
+    """Every column equal (dtype included), and every plan it builds.
+
+    With ``jobs`` (the list ``ref`` was built from), each plan code's
+    tree must also equal the original job's plan and hash to the
+    stored strict and template signatures.
+    """
     assert batch.day == ref.day
-    assert batch.job_ids == ref.job_ids
-    assert np.array_equal(batch.submit_hours, ref.submit_hours)
-    assert np.array_equal(batch.plan_codes, ref.plan_codes)
-    assert np.array_equal(batch.param_codes, ref.param_codes)
-    assert batch.plans == ref.plans
-    assert batch.plan_templates == ref.plan_templates
-    assert batch.plan_stricts == ref.plan_stricts
-    assert len(batch.plan_sig_codes) == len(ref.plan_sig_codes)
-    for mine, theirs in zip(batch.plan_sig_codes, ref.plan_sig_codes):
-        assert np.array_equal(mine, theirs)
-        assert mine.dtype == theirs.dtype
-    assert batch.sig_names == ref.sig_names
-    assert batch.sig_sizes == ref.sig_sizes
-    assert batch.params_pool == ref.params_pool
-    assert list(batch.deps_map.items()) == list(ref.deps_map.items())
+    mine, theirs = batch.columns(), ref.columns()
+    assert list(mine) == list(theirs) == list(COLUMNS)
+    for name in COLUMNS:
+        assert mine[name].dtype == theirs[name].dtype, name
+        assert np.array_equal(mine[name], theirs[name]), name
+    for code in range(ref.n_plans):
+        assert batch.plan(code) == ref.plan(code)
+    if jobs is not None:
+        _codes, first_rows = np.unique(ref.plan_codes, return_index=True)
+        for code, row in enumerate(first_rows.tolist()):
+            plan = batch.plan(code)
+            assert plan == jobs[row].plan
+            sigs = signatures(plan)
+            assert sigs.strict == batch.strict(code)
+            assert sigs.template == batch.template(code)
 
 
 CONFIGS = {
@@ -54,8 +62,8 @@ class TestFusedDayBatch:
         legacy = ScopeWorkloadGenerator(rng=7, config=config)
         for day in range(3):
             batch = fused.day_batch(day)
-            ref = JobBatch.from_jobs(legacy.day_jobs(day))
-            assert_batches_identical(batch, ref)
+            jobs = legacy.day_jobs(day)
+            assert_batches_identical(batch, JobBatch.from_jobs(jobs), jobs)
 
     def test_rng_states_advance_identically(self):
         fused = ScopeWorkloadGenerator(rng=7)
@@ -75,7 +83,7 @@ class TestFusedDayBatch:
         ]
         mixed = ScopeWorkloadGenerator(rng=11, config=config)
         assert_batches_identical(mixed.day_batch(0), refs[0])
-        assert [j.job_id for j in mixed.day_jobs(1)] == refs[1].job_ids
+        assert [j.job_id for j in mixed.day_jobs(1)] == refs[1].job_id_list()
         assert_batches_identical(mixed.day_batch(2), refs[2])
         # random access backwards replays from the cached day state
         assert_batches_identical(mixed.day_batch(1), refs[1])
@@ -116,3 +124,38 @@ class TestFusedDayBatch:
                 fused_repo.day_sharing_summary(day)
                 == record_repo.day_sharing_summary(day)
             )
+
+
+class TestLazyPlans:
+    """Plan trees are built only when read, once per plan code."""
+
+    def test_pairs_view_shares_one_tree_per_plan_code(self):
+        from repro.fabric.streams import StreamingJobSource
+
+        source = StreamingJobSource(
+            seed=4, days=2, jobs_per_day=1200, overlap=False
+        )
+        view = source.pairs(head=200)
+        first = view.get(0)
+        second = view.get(0)
+        batch = source.day_batch(0)
+        assert len(first) == 200
+        assert 0 < len(batch._plans) <= 200
+        codes = batch.plan_codes[:200].tolist()
+        for (job_id, plan), (again_id, again), code in zip(
+            first, second, codes
+        ):
+            assert job_id == again_id
+            assert plan is again
+            assert plan is batch.plan(code)
+        # recurring instances share a code, hence one tree
+        assert len({id(plan) for _j, plan in first}) == len(set(codes))
+        jobs = ScopeWorkloadGenerator(
+            rng=4, config=source.config
+        ).day_jobs(0)
+        assert [(j.job_id, j.plan) for j in jobs[:200]] == first
+
+    def test_day_batch_builds_no_trees(self):
+        batch = ScopeWorkloadGenerator(rng=2).day_batch(0)
+        assert batch._plans == {}
+        assert len(batch.skeletons) < batch.n_plans
