@@ -31,21 +31,11 @@ Benchmarks:
    the inverted strict-signature index vs the legacy pairwise
    node-equality flow, asserted byte-identical, instrumented with
    :mod:`repro.obs` spans so the rollup shows where the time goes.
-6. **parallel_scaling** — the sharded analyses (CloudViews candidate
-   enumeration + Peregrine repository analysis) at 1/2/4 persistent-pool
-   workers, outputs asserted identical across worker counts.  Honest
-   numbers only: ``cpu_count`` is recorded at the top of the payload,
-   and on a single-core machine the timings are **skipped**
-   (``skipped_single_core: true``) with only the serial-vs-pool
-   equivalence check run.
-7. **pool_reuse** — cold pool spawn vs warm dispatch latency on the
-   persistent :class:`~repro.parallel.WorkerPool`: the factor that
-   spawn-per-call used to cost every fan-out.
-8. **tracing_overhead** — the optimize -> compile -> execute hot path
+6. **tracing_overhead** — the optimize -> compile -> execute hot path
    driven uninstrumented vs bound to an :mod:`repro.obs` runtime
    (spans + event replay + store flush included): the overhead fraction
    must stay under 10%.
-9. **checkpoint_delta** — the fabric checkpoint write path: the full
+7. **checkpoint_delta** — the fabric checkpoint write path: the full
    ``@1`` single pickle vs an ``@2`` delta frame, measured every day of
    a steady-state fleet run with one explicit ``store.save`` per day.
    The final-day delta must be >= 5x smaller and faster to write.
@@ -72,7 +62,6 @@ from repro.core.cloudviews.reuse import (  # noqa: E402
     ViewCandidate,
     _ViewAwareTruth,
 )
-from repro.core.peregrine import WorkloadRepository, analyze  # noqa: E402
 from repro.engine import (  # noqa: E402
     ClusterExecutor,
     DefaultCardinalityEstimator,
@@ -359,7 +348,7 @@ class LegacyCloudViews(CloudViews):
     rewriting runs one full ``replace_subexpression`` pass per view.
     """
 
-    def candidates(self, jobs, workers: int = 1):
+    def candidates(self, jobs):
         owners: dict[str, ViewCandidate] = {}
         for job_id, plan in jobs:
             seen: set[str] = set()
@@ -387,7 +376,7 @@ class LegacyCloudViews(CloudViews):
             if c.occurrences >= self.min_occurrences and c.utility > 0
         ]
 
-    def select(self, jobs, workers: int = 1):
+    def select(self, jobs):
         pool = sorted(
             self.candidates(jobs),
             key=lambda c: -c.utility / max(c.estimated_bytes, 1.0),
@@ -434,8 +423,8 @@ class LegacyCloudViews(CloudViews):
             )
         return plan
 
-    def run_day(self, jobs, true_cardinality, containment: bool = False,
-                workers: int = 1) -> ReuseReport:
+    def run_day(self, jobs, true_cardinality,
+                containment: bool = False) -> ReuseReport:
         selected = self.select(jobs)
         if containment:
             selected = self._add_containment_candidates(jobs, selected)
@@ -561,154 +550,6 @@ def measure_cloudviews_day(n_jobs: int, profiler: SectionProfiler) -> dict:
         "speedup": new_rate / legacy_rate,
         "identical_reports": True,
         "span_seconds": dict(sorted(span_seconds.items())),
-    }
-
-
-def measure_parallel_scaling(
-    n_jobs: int,
-    profiler: SectionProfiler,
-    workers_axis: tuple[int, ...] = (1, 2, 4),
-) -> dict:
-    """CloudViews enumeration + Peregrine analysis across worker counts.
-
-    Every worker count must produce identical outputs (the substrate's
-    core contract); the timings show whatever scaling the machine's
-    cores actually allow.  On a single-core machine timings would be
-    pure theater, so the measurement is **skipped**: the result carries
-    ``skipped_single_core: true`` and only the equivalence check runs
-    (worker-count identity is a correctness property, not a perf one,
-    so it holds on any core count).  The shard publication is done once
-    per worker axis via :meth:`CloudViews.day_context`, matching how a
-    fabric day amortizes it across dispatches.
-    """
-    import os
-
-    cpu_count = os.cpu_count() or 1
-    n_days = max(1, round(n_jobs / _JOBS_PER_DAY))
-    workload = ScopeWorkloadGenerator(rng=0).generate(n_days=n_days)
-    jobs = [(job.job_id, job.plan) for job in workload.jobs]
-    for _, plan in jobs:
-        enumerate_all_signatures(plan)
-    est = DefaultCostModel(
-        workload.catalog, DefaultCardinalityEstimator(workload.catalog)
-    )
-    cloudviews = CloudViews(workload.catalog, est)
-    repo = WorkloadRepository().ingest(workload)
-
-    def _cand_key(cands) -> list:
-        return [
-            (c.signature, tuple(c.job_ids), c.estimated_cost, c.estimated_bytes)
-            for c in cands
-        ]
-
-    if cpu_count <= 1:
-        # No honest scaling numbers exist here; verify the contract
-        # (serial and a real 2-worker pool agree bit-for-bit) and say
-        # loudly that timing was skipped.
-        with profiler.section("parallel_scaling/equivalence"):
-            serial = (_cand_key(cloudviews.candidates(jobs, workers=1)),
-                      analyze(repo, workers=1))
-            with cloudviews.day_context(jobs):
-                pooled = (_cand_key(cloudviews.candidates(jobs, workers=2)),
-                          analyze(repo, workers=2))
-        assert pooled == serial, "workers=2 diverged from serial"
-        return {
-            "skipped_single_core": True,
-            "cpu_count": cpu_count,
-            "n_jobs": len(jobs),
-            "n_candidates": len(serial[0]),
-            "workers": list(workers_axis),
-            "identical_across_workers": True,
-        }
-
-    candidate_seconds: dict[str, float] = {}
-    analyze_seconds: dict[str, float] = {}
-    baseline_candidates = None
-    baseline_stats = None
-    with cloudviews.day_context(jobs):
-        for w in workers_axis:
-            with profiler.section(f"parallel_scaling/candidates_w{w}"):
-                cands = cloudviews.candidates(jobs, workers=w)
-            with profiler.section(f"parallel_scaling/analyze_w{w}"):
-                stats = analyze(repo, workers=w)
-            candidate_seconds[str(w)] = profiler.seconds(
-                f"parallel_scaling/candidates_w{w}"
-            )
-            analyze_seconds[str(w)] = profiler.seconds(
-                f"parallel_scaling/analyze_w{w}"
-            )
-            cand_key = _cand_key(cands)
-            if baseline_candidates is None:
-                baseline_candidates, baseline_stats = cand_key, stats
-            else:
-                assert cand_key == baseline_candidates, f"workers={w} diverged"
-                assert stats == baseline_stats, f"workers={w} diverged"
-    base_total = candidate_seconds["1"] + analyze_seconds["1"]
-    speedups = {
-        str(w): base_total
-        / (candidate_seconds[str(w)] + analyze_seconds[str(w)])
-        for w in workers_axis
-    }
-    return {
-        "skipped_single_core": False,
-        "cpu_count": cpu_count,
-        "n_jobs": len(jobs),
-        "n_candidates": len(baseline_candidates),
-        "workers": list(workers_axis),
-        "candidate_seconds": candidate_seconds,
-        "analyze_seconds": analyze_seconds,
-        "speedup_vs_serial": speedups,
-        "identical_across_workers": True,
-    }
-
-
-def _pool_probe(x: int) -> int:
-    """Module-level probe for pool_reuse (tiny fixed work per item)."""
-    return x * x
-
-
-def measure_pool_reuse(profiler: SectionProfiler, reps: int = 5) -> dict:
-    """Cold pool spawn vs warm dispatch on the persistent pool.
-
-    The whole point of the persistent :class:`~repro.parallel.WorkerPool`
-    is that spawn is paid once: the first dispatch carries worker
-    startup, every later one rides the living processes.  This measures
-    both on a fresh pool — ``warm_seconds`` is the min over ``reps``
-    dispatches of a small fixed batch (explicit chunksize, so the
-    autotuner can't route it serial), and ``cold_over_warm`` is the
-    factor spawn-per-call used to cost.  Valid on any core count:
-    dispatch latency, not scaling, is what's measured.
-    """
-    from repro.parallel import WorkerPool, pmap
-
-    batch = list(range(64))
-    pool = WorkerPool()
-    try:
-        with profiler.section("pool_reuse/cold"):
-            clock = Stopwatch().start()
-            expected = pmap(_pool_probe, batch, workers=2, chunksize=16,
-                            pool=pool)
-            cold_s = clock.stop()
-        warm_s = float("inf")
-        for _ in range(reps):
-            with profiler.section("pool_reuse/warm"):
-                clock = Stopwatch().start()
-                got = pmap(_pool_probe, batch, workers=2, chunksize=16,
-                           pool=pool)
-                warm_s = min(warm_s, clock.stop())
-            assert got == expected
-        stats = pool.stats()
-    finally:
-        pool.shutdown()
-    return {
-        "n_items": len(batch),
-        "reps": reps,
-        "cold_seconds": cold_s,
-        "warm_seconds": warm_s,
-        "spawn_seconds": stats["spawn_seconds"],
-        "cold_over_warm": cold_s / warm_s if warm_s > 0 else float("inf"),
-        "dispatches": stats["dispatches"],
-        "generation": stats["generation"],
     }
 
 
@@ -910,8 +751,6 @@ def run(n_points: int, n_jobs: int, n_queries: int, ckpt_days: int) -> dict:
         "query_windows": measure_query_windows(n_points, n_queries, profiler),
         "signature_trace": measure_signature_trace(n_jobs, profiler),
         "cloudviews_day": measure_cloudviews_day(n_jobs, profiler),
-        "parallel_scaling": measure_parallel_scaling(n_jobs, profiler),
-        "pool_reuse": measure_pool_reuse(profiler),
         "tracing_overhead": measure_tracing_overhead(n_jobs, profiler),
         "checkpoint_delta": measure_checkpoint_delta(ckpt_days, profiler),
     }
@@ -965,36 +804,13 @@ def main(argv: list[str] | None = None) -> int:
         f" cpu_count={payload['cpu_count']}) =="
     )
     for name, row in payload["results"].items():
-        if name in ("tracing_overhead", "parallel_scaling", "pool_reuse",
-                    "checkpoint_delta"):
+        if name in ("tracing_overhead", "checkpoint_delta"):
             continue
         print(
             f"{name:<22} legacy {row['legacy_seconds']:>8.3f}s"
             f"  new {row['new_seconds']:>8.3f}s"
             f"  speedup {row['speedup']:>8.1f}x"
         )
-    scaling = payload["results"]["parallel_scaling"]
-    if scaling["skipped_single_core"]:
-        print(
-            f"{'parallel_scaling':<22} SKIPPED (single core;"
-            " equivalence verified, no timing theater)"
-        )
-    else:
-        per_worker = "  ".join(
-            f"w{w} {scaling['speedup_vs_serial'][str(w)]:.2f}x"
-            for w in scaling["workers"]
-        )
-        print(
-            f"{'parallel_scaling':<22} {per_worker}"
-            f"  (cpu_count={scaling['cpu_count']})"
-        )
-    reuse = payload["results"]["pool_reuse"]
-    print(
-        f"{'pool_reuse':<22} cold {reuse['cold_seconds']*1e3:>7.1f}ms"
-        f"  warm {reuse['warm_seconds']*1e3:>7.1f}ms"
-        f"  cold/warm {reuse['cold_over_warm']:>6.1f}x"
-        f"  (spawn {reuse['spawn_seconds']*1e3:.1f}ms)"
-    )
     ckpt = payload["results"]["checkpoint_delta"]
     last = ckpt["day_last"]
     print(

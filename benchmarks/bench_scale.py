@@ -33,7 +33,7 @@ data path holds up at that scale and writes the numbers to
 4. **tick_1m** (full runs only) — the real fleet at a million jobs a
    day: the in-process equivalent of ``repro fabric --days 3
    --jobs-per-day 1000000`` (core fleet, streaming source, overlap
-   prefetch on the persistent pool), wall time and RSS per day, with
+   prefetch on the one-worker pool), wall time and RSS per day, with
    the same flat-RSS gate.
 
 Run standalone (not under pytest)::

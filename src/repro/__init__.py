@@ -11,7 +11,7 @@ The package mirrors the paper's structure:
   service across the cloud-infrastructure, query-engine, and service
   layers;
 - the shared runtime: :mod:`repro.obs` (tracing/metrics),
-  :mod:`repro.parallel` (deterministic process fan-out), and
+  :mod:`repro.parallel` (the one-worker next-day prefetch pool), and
   :mod:`repro.fabric` — the control plane hosting every service as a
   checkpointable, fault-tolerant feedback pipeline.
 

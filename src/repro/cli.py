@@ -2,8 +2,8 @@
 
 Subcommands::
 
-    repro stats       [--days N --seed S --workers W]  workload structure statistics
-    repro cloudviews  [--days N --day D --workers W]   one day of computation reuse
+    repro stats       [--days N --seed S]   workload structure statistics
+    repro cloudviews  [--days N --day D]    one day of computation reuse
     repro moneyball   [--tenants N]         pause/resume policy comparison
     repro seagull     [--servers N]         backup-window accuracy
     repro doppler     [--customers N]       SKU recommendation accuracy
@@ -12,8 +12,8 @@ Subcommands::
     repro trace       [--jobs N --seed S]   traced workload->engine->service run
     repro fabric      [--days N --full --list --checkpoint P --resume P
                        --store DIR --inject-fault SPEC]  the control plane
-    repro chaos       [--days N --kill-tick K --workers W
-                       --inject-fault SPEC]  kill -9 mid-day, resume, compare
+    repro chaos       [--days N --kill-tick K --inject-fault SPEC]
+                      kill -9 mid-day, resume, compare
     repro serve       [--requests N --days D --warm-days W --resume P]
                       async query plane over the fleet
 
@@ -25,11 +25,10 @@ Every subcommand is deterministic given its seed and prints a compact
 table, so the CLI doubles as a smoke test of the installation.  Every
 subcommand also runs inside the shared observability runtime
 (:mod:`repro.obs`): pass ``--trace`` to print the span tree and
-per-layer metric rollup after the command's own output.  Analysis
-subcommands accept ``--workers`` to fan the fleet-scale scans across
-the persistent worker pool (:mod:`repro.parallel`); results are
-identical for every worker count, and the pool is shut down before the
-command exits.
+per-layer metric rollup after the command's own output.  A streaming
+``fabric`` run prefetches the next day on a one-worker process pool
+(:mod:`repro.parallel`); the pool is shut down before the command
+exits.
 """
 
 from __future__ import annotations
@@ -48,10 +47,8 @@ def _cmd_stats(args: argparse.Namespace, obs: "ObservabilityRuntime") -> int:
 
     with obs.span("workload.generate", layer="workload", days=args.days):
         workload = ScopeWorkloadGenerator(rng=args.seed).generate(n_days=args.days)
-    with obs.span("peregrine.analyze", layer="engine", workers=args.workers):
-        stats = analyze(
-            WorkloadRepository().ingest(workload), workers=args.workers
-        )
+    with obs.span("peregrine.analyze", layer="engine"):
+        stats = analyze(WorkloadRepository().ingest(workload))
     print(f"workload: {args.days} days, seed {args.seed}")
     for name, value in stats.summary_rows():
         print(f"  {name:26s} {value:10.3f}")
@@ -79,13 +76,8 @@ def _cmd_cloudviews(args: argparse.Namespace, obs: "ObservabilityRuntime") -> in
     )
     truth = TrueCardinalityModel(workload.catalog, seed=args.seed)
     service = CloudViews(workload.catalog, est, obs=obs)
-    report = service.run_day(
-        jobs, truth, containment=args.containment, workers=args.workers
-    )
-    print(
-        f"day {day}: {report.n_jobs} jobs, {report.n_views} views selected"
-        f" (workers={args.workers})"
-    )
+    report = service.run_day(jobs, truth, containment=args.containment)
+    print(f"day {day}: {report.n_jobs} jobs, {report.n_views} views selected")
     print(
         f"  latency improvement:  {report.latency_improvement:8.1%}"
         " (paper: 34%)"
@@ -357,7 +349,6 @@ def _cmd_fabric(args: argparse.Namespace, obs: "ObservabilityRuntime") -> int:
             seed=args.seed,
             days=args.days,
             jobs_per_day=args.jobs_per_day,
-            workers=args.workers,
             include=include,
             repo_memory_budget_mb=args.memory_budget_mb,
             repo_spill_dir=args.spill_dir,
@@ -453,7 +444,6 @@ def _cmd_chaos(args: argparse.Namespace, obs: "ObservabilityRuntime") -> int:
             days=args.days,
             kill_tick=args.kill_tick,
             services=tuple(args.services.split(",")) if args.services else None,
-            workers=args.workers,
             faults=args.inject_fault,
             seed=args.seed,
             workdir=args.workdir or None,
@@ -579,10 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats.add_argument("--days", type=int, default=7)
     stats.add_argument("--seed", type=int, default=0)
-    stats.add_argument(
-        "--workers", type=int, default=1,
-        help="process-pool width for the per-day sharing analysis",
-    )
     stats.set_defaults(func=_cmd_stats)
 
     cloudviews = sub.add_parser(
@@ -596,10 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="which day to evaluate (default: the last generated day)",
     )
     cloudviews.add_argument("--seed", type=int, default=0)
-    cloudviews.add_argument(
-        "--workers", type=int, default=1,
-        help="process-pool width for candidate enumeration",
-    )
     cloudviews.add_argument(
         "--containment", action="store_true",
         help="widen the candidate pool with drifted-bound families",
@@ -668,10 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for cold day chunks (default: store dir or scratch)",
     )
     fabric.add_argument(
-        "--workers", type=int, default=1,
-        help="process-pool width for fleet-scale analyses",
-    )
-    fabric.add_argument(
         "--full", action="store_true",
         help="include the heavier infra/engine tuners (kea, autotune, joint)",
     )
@@ -724,10 +702,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--kill-tick", type=int, default=12,
         help="completed-tick count (across all services) to SIGKILL at",
-    )
-    chaos.add_argument(
-        "--workers", type=int, default=1,
-        help="process-pool width inside the baseline/victim/resumed runs",
     )
     chaos.add_argument(
         "--services", default="",
@@ -806,8 +780,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"repro {args.command}: error: {message}", file=sys.stderr)
         code = 1
     finally:
-        # Commands that fanned out leave the warm pool behind; stop the
-        # workers before the process lingers (atexit is the backstop).
+        # A prefetching fabric leaves the warm worker behind; stop it
+        # before the process lingers (atexit is the backstop).
         shutdown_pool()
     obs.flush()
     if getattr(args, "trace", False) and args.command != "trace":

@@ -14,10 +14,10 @@ The day's flow mirrors production CloudViews:
    first occurrence pays the write.
 
 All three stages are **signature-indexed**: detection builds an inverted
-strict-signature -> candidate table (shardable across a process pool by
-template hash, with an order-stable merge), matching is set membership
-against each plan's memoized signature set, and rewriting replaces every
-selected view in one top-down pass.  Nothing walks plans pairwise.
+strict-signature -> candidate table in one scan, matching is set
+membership against each plan's memoized signature set, and rewriting
+replaces every selected view in one top-down pass.  Nothing walks plans
+pairwise.
 
 ``run_day`` evaluates the whole pipeline against the true cost model and
 reports the accumulated-latency and total-processing improvements the
@@ -26,8 +26,6 @@ paper quotes.
 
 from __future__ import annotations
 
-import pickle
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -47,14 +45,6 @@ from repro.core.cloudviews.containment import (
 from repro.engine.expr import rewrite_bottom_up
 from repro.engine.signatures import signature_sets
 from repro.engine.signatures import signatures as plan_signatures
-from repro.parallel import (
-    DEFAULT_N_SHARDS,
-    BytesArena,
-    arena_blob,
-    pmap,
-    resolve_workers,
-    shard_items,
-)
 
 if TYPE_CHECKING:
     from repro.obs.runtime import ObservabilityRuntime
@@ -156,91 +146,34 @@ class ReuseReport:
         return 1.0 - self.reuse_processing / self.baseline_processing
 
 
-# -- sharded candidate enumeration --------------------------------------------
-def _enumerate_candidate_shard(payload) -> dict[str, list]:
-    """Worker: partial candidate table over one shard of the day's jobs.
+# -- candidate enumeration -----------------------------------------------------
+def _shared_subexpressions(
+    jobs: list[tuple[str, Expression]], min_size: int
+) -> list[tuple[str, Expression, list[str]]]:
+    """Every strict signature of size >= ``min_size`` with its owners.
 
-    ``payload`` is ``(entries, min_size)`` with entries of
-    ``(job_index, job_id, plan)``.  Each slot carries the *global*
-    discovery order ``(job_index, walk_position)`` of its first sighting,
-    so merging partials reproduces the exact candidate ordering a serial
-    scan over all jobs would produce — regardless of shard count.
-
-    Workers only collect signatures and owners; the (expensive) cost
-    model runs post-merge, and only on signatures that survive the
-    occurrence filter.  That keeps pool payloads small and avoids
-    costing the long tail of once-seen subexpressions.
+    Rows are ``(signature, expression, job_ids)`` in first-sighting
+    order; the expression is the first sighting's node and ``job_ids``
+    lists each owning job once, in submit order.  Only signatures and
+    owners are collected here: the (expensive) cost model runs later,
+    and only on signatures that survive the occurrence filter.
     """
-    entries, min_size = payload
-    return _enumerate_entries(entries, min_size)
-
-
-def _enumerate_candidate_arena(payload) -> dict[str, list]:
-    """Worker: enumerate one shard read from the shared-memory arena.
-
-    ``payload`` is ``(arena_handle, shard_index, min_size)`` — a few
-    dozen bytes per task.  The shard's pickled entries live in the
-    arena the parent published once for the whole day, so a worker
-    deserializes exactly its own shard and never receives sibling
-    shards through the executor pipe.
-    """
-    handle, shard_index, min_size = payload
-    entries = pickle.loads(arena_blob(handle, shard_index))
-    return _enumerate_entries(entries, min_size)
-
-
-def _enumerate_entries(entries, min_size: int) -> dict[str, list]:
-    partial: dict[str, list] = {}
-    for job_index, job_id, plan in entries:
+    table: dict[str, tuple[Expression, list[str]]] = {}
+    for job_id, plan in jobs:
         seen: set[str] = set()
-        for position, node in enumerate(plan.walk()):
+        for node in plan.walk():
             sig = plan_signatures(node).strict
             if sig in seen:
                 continue
             seen.add(sig)
             if node.size < min_size:
                 continue
-            slot = partial.get(sig)
+            slot = table.get(sig)
             if slot is None:
-                # [order, expression, owners]
-                partial[sig] = [
-                    (job_index, position),
-                    node,
-                    [(job_index, job_id)],
-                ]
+                table[sig] = (node, [job_id])
             else:
-                # The per-job ``seen`` set guarantees one entry per job,
-                # so owners stay strictly ordered by job index.
-                slot[2].append((job_index, job_id))
-    return partial
-
-
-def _merge_candidate_shards(
-    partials: list[dict[str, list]],
-) -> list[tuple[str, Expression, list[str]]]:
-    """Order-stable merge of per-shard candidate tables.
-
-    Deterministic by construction: the expression of a signature comes
-    from its globally-first sighting, owners are reassembled in job
-    order, and ``(signature, expression, job_ids)`` rows are emitted in
-    first-sighting order — byte-identical for any shard count and
-    worker count, and identical to a serial scan.
-    """
-    merged: dict[str, list] = {}
-    for partial in partials:
-        for sig, slot in partial.items():
-            current = merged.get(sig)
-            if current is None:
-                merged[sig] = [slot[0], slot[1], list(slot[2])]
-            else:
-                if slot[0] < current[0]:
-                    current[0:2] = slot[0:2]
-                current[2].extend(slot[2])
-    out = []
-    for sig, slot in sorted(merged.items(), key=lambda kv: kv[1][0]):
-        owners = sorted(slot[2])
-        out.append((sig, slot[1], [job_id for _, job_id in owners]))
-    return out
+                slot[1].append(job_id)
+    return [(sig, node, owners) for sig, (node, owners) in table.items()]
 
 
 def _rewrite_with_views(plan: Expression, views: dict[str, str]) -> Expression:
@@ -298,11 +231,6 @@ class CloudViews:
         self.budget_bytes = budget_bytes
         self.max_views = max_views
         self._obs = obs
-        # Per-epoch shared-memory publication of the day's sharded jobs
-        # (set inside ``day_context``); keyed by the jobs list identity
-        # so a stale publication can never serve different jobs.
-        self._day_pub: BytesArena | None = None
-        self._day_pub_key: tuple[int, int] | None = None
 
     def bind(self, obs: "ObservabilityRuntime | None") -> "CloudViews":
         """Attach (or detach) an observability runtime; returns self."""
@@ -316,91 +244,13 @@ class CloudViews:
             return nullcontext()
         return self._obs.span(name, layer="service", **attributes)
 
-    # -- shared-memory day publication -----------------------------------------
-    def _publish_shards(self, jobs: list[tuple[str, Expression]]) -> BytesArena:
-        """Shard the day's jobs and publish them to shared memory once.
-
-        One pickled blob per template-hash shard, packed into a single
-        :class:`BytesArena`; pool tasks then carry only ``(handle,
-        shard_index)`` instead of the shard contents, and a worker
-        deserializes exactly its own shard from the shared segment.
-        """
-        entries = [
-            (index, job_id, plan)
-            for index, (job_id, plan) in enumerate(jobs)
-        ]
-        shards = shard_items(
-            entries,
-            key=lambda entry: plan_signatures(entry[2]).template,
-            n_shards=DEFAULT_N_SHARDS,
-        )
-        with self._span(
-            "cloudviews.publish", n_jobs=len(jobs), n_shards=len(shards)
-        ):
-            blobs = [pickle.dumps(shard, protocol=4) for shard in shards]
-            return BytesArena(blobs)
-
-    @contextmanager
-    def day_context(self, jobs: list[tuple[str, Expression]]):
-        """Publish ``jobs`` once for repeated parallel calls (one epoch).
-
-        Every ``candidates``/``select``/``run_day`` call on the *same*
-        jobs list inside the context reuses the publication instead of
-        re-sharding and re-pickling — e.g. sweeping worker counts over
-        one day, or re-selecting under different budgets.  The shared
-        segment is unlinked on exit.
-        """
-        publication = self._publish_shards(jobs)
-        self._day_pub = publication
-        self._day_pub_key = (id(jobs), len(jobs))
-        try:
-            yield self
-        finally:
-            self._day_pub = None
-            self._day_pub_key = None
-            publication.close()
-
     # -- detection & selection -------------------------------------------------
     def candidates(
-        self, jobs: list[tuple[str, Expression]], workers: int = 1
+        self, jobs: list[tuple[str, Expression]]
     ) -> list[ViewCandidate]:
-        """Signatures shared by >= min_occurrences distinct jobs.
-
-        With ``workers > 1`` the day's jobs are sharded by template-
-        signature hash, published to shared memory, and enumerated
-        across the persistent process pool; the partial utility tables
-        merge into the same candidate list (same order, same floats) a
-        serial scan produces.
-        """
-        n = resolve_workers(workers)
-        with self._span("cloudviews.candidates", n_jobs=len(jobs), workers=n):
-            if n <= 1:
-                entries = [
-                    (index, job_id, plan)
-                    for index, (job_id, plan) in enumerate(jobs)
-                ]
-                partials = [_enumerate_entries(entries, self.min_size)]
-            else:
-                reuse = (
-                    self._day_pub is not None
-                    and self._day_pub_key == (id(jobs), len(jobs))
-                )
-                publication = (
-                    self._day_pub if reuse else self._publish_shards(jobs)
-                )
-                try:
-                    partials = pmap(
-                        _enumerate_candidate_arena,
-                        [
-                            (publication.handle, shard, self.min_size)
-                            for shard in range(DEFAULT_N_SHARDS)
-                        ],
-                        workers=n,
-                    )
-                finally:
-                    if not reuse:
-                        publication.close()
-            merged = _merge_candidate_shards(partials)
+        """Signatures shared by >= min_occurrences distinct jobs."""
+        with self._span("cloudviews.candidates", n_jobs=len(jobs)):
+            merged = _shared_subexpressions(jobs, self.min_size)
             # Costing is deferred to here: only signatures that recur
             # enough get the cost model run (the once-seen long tail —
             # the overwhelming majority — never does).
@@ -419,9 +269,7 @@ class CloudViews:
                     out.append(candidate)
         return out
 
-    def select(
-        self, jobs: list[tuple[str, Expression]], workers: int = 1
-    ) -> list[ViewCandidate]:
+    def select(self, jobs: list[tuple[str, Expression]]) -> list[ViewCandidate]:
         """Greedy utility-per-byte selection under the byte budget.
 
         Nested candidates are pruned: once a candidate is selected, any
@@ -429,7 +277,7 @@ class CloudViews:
         disappear after rewriting).
         """
         pool = sorted(
-            self.candidates(jobs, workers=workers),
+            self.candidates(jobs),
             key=lambda c: -c.utility / max(c.estimated_bytes, 1.0),
         )
         with self._span("cloudviews.select", n_candidates=len(pool)):
@@ -531,7 +379,6 @@ class CloudViews:
         jobs: list[tuple[str, Expression]],
         true_cardinality,
         containment: bool = False,
-        workers: int = 1,
     ) -> ReuseReport:
         """Account one day's costs with and without reuse.
 
@@ -546,11 +393,8 @@ class CloudViews:
         and whose occurrences count every contained job.  Stricter
         instances are rewritten to compensating filters over the view by
         normalizing them to the weakest bound first.
-
-        ``workers`` fans the candidate enumeration across a process
-        pool; the report is byte-identical for every worker count.
         """
-        selected = self.select(jobs, workers=workers)
+        selected = self.select(jobs)
         if containment:
             with self._span("cloudviews.containment"):
                 selected = self._add_containment_candidates(jobs, selected)

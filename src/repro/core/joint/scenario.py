@@ -16,7 +16,7 @@ argument for synchronized joint tuning.
 
 :class:`CheckpointWaveObjective` is the objective itself — a picklable
 callable (no captured closures), so the fabric can checkpoint a joint
-tuning session mid-run and process pools can ship it to workers.
+tuning session mid-run.
 :func:`checkpoint_wave_objective` keeps the original
 build-from-a-world-fixture entry point and now returns an instance of
 that class.

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.peregrine.repository import WorkloadRepository
-from repro.parallel import ShmArray, attach, pmap, resolve_workers
 
 
 @dataclass
@@ -79,55 +78,6 @@ def shared_jobs_on_day(
     return sharing_jobs, shared_sigs
 
 
-def _day_table(
-    repo: WorkloadRepository, min_size: int
-) -> tuple[np.ndarray, list[tuple[int, int, int, int]]]:
-    """The whole repository's (job, signature) rows as one numpy block.
-
-    Delegates to :meth:`WorkloadRepository.sig_table`, which memoizes
-    the block append-only across ``analyze()`` calls: each call gathers
-    only days ingested since the last one, so re-analysis per fabric
-    tick costs O(new day) instead of re-concatenating (and re-loading
-    spilled chunks for) the whole history.  Job codes are the day's
-    global row offset plus the local row: bijective with job ids, so
-    per-day distinct counts match an interned-string scan.  Returns the
-    table plus per-day ``(day, start_row, stop_row, n_jobs)`` slices.
-    """
-    return repo.sig_table(min_size)
-
-
-def _day_sharing_worker_shm(
-    payload: tuple[object, int, int, int, int],
-) -> tuple[int, int, int, dict[str, int]]:
-    """Worker: one day's sharing statistics from the shared-memory table.
-
-    ``payload`` is ``(handle, day, start, stop, n_jobs)`` — a few dozen
-    bytes; the actual rows are read zero-copy from the table published
-    by :func:`analyze`.  Iterating rows in table order reproduces the
-    exact first-sighting dict order of :func:`_day_sharing_worker`, so
-    the output is bit-identical to the pickled-payload serial path.
-    """
-    handle, day, start, stop, n_jobs = payload
-    rows = attach(handle)[start:stop]
-    owners: dict[bytes, set[int]] = {}
-    for code, sig in zip(rows["job"].tolist(), rows["sig"].tolist()):
-        bucket = owners.get(sig)
-        if bucket is None:
-            owners[sig] = {code}
-        else:
-            bucket.add(code)
-    shared = {
-        sig.decode("ascii"): len(jobs)
-        for sig, jobs in owners.items()
-        if len(jobs) > 1
-    }
-    sharing_jobs: set[int] = set()
-    for sig, jobs in owners.items():
-        if len(jobs) > 1:
-            sharing_jobs |= jobs
-    return day, n_jobs, len(sharing_jobs), shared
-
-
 def _dependency_fraction(repo: WorkloadRepository) -> float:
     return repo.dependency_involved() / max(len(repo), 1)
 
@@ -135,38 +85,20 @@ def _dependency_fraction(repo: WorkloadRepository) -> float:
 def analyze(
     repo: WorkloadRepository,
     min_subexpr_size: int = 2,
-    workers: int = 1,
 ) -> WorkloadStatistics:
     """Compute the full statistics bundle over everything ingested.
 
-    ``workers`` fans the per-day sharing analysis across the persistent
-    process pool.  The parallel path publishes the repository's
-    (job, signature) rows to shared memory **once** and sends workers
-    only per-day row slices — no pickled object lists cross the pool
-    boundary.  The serial path folds the repository's cached per-day
-    summaries, so re-analysis after each ingested day costs one day,
-    not the whole history.  Serial or parallel, the statistics are
-    byte-identical for every worker count.
+    Folds the repository's cached per-day sharing summaries, so
+    re-analysis after each ingested day costs one day, not the whole
+    history.
     """
     if len(repo) == 0:
         raise ValueError("repository is empty")
     recurring, n_templates, p50 = _recurring_fraction(repo)
-    if resolve_workers(workers) <= 1:
-        day_results = [
-            repo.day_sharing_summary(day, min_subexpr_size)
-            for day in repo.days()
-        ]
-    else:
-        table, slices = _day_table(repo, min_subexpr_size)
-        with ShmArray(table) as publication:
-            day_results = pmap(
-                _day_sharing_worker_shm,
-                [
-                    (publication.handle, day, start, stop, n_jobs)
-                    for day, start, stop, n_jobs in slices
-                ],
-                workers=workers,
-            )
+    day_results = [
+        repo.day_sharing_summary(day, min_subexpr_size)
+        for day in repo.days()
+    ]
     day_fractions = []
     best_shared: dict[str, int] = {}
     for _day, n_day_jobs, n_sharing, shared_sigs in day_results:

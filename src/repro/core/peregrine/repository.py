@@ -688,10 +688,6 @@ class DayChunk(_DayColumns):
             self._derived[key] = cached
         return cached
 
-    def sig_bytes(self) -> np.ndarray:
-        """The signature pool as a fixed-width ascii array (for shm)."""
-        return self.col("sig_names")
-
     def sig_rows(self, min_size: int) -> tuple[np.ndarray, np.ndarray]:
         """Flat ``(job_row, sig_code)`` streams, job-major, walk order.
 
@@ -1208,9 +1204,6 @@ class WorkloadRepository:
         self._closed_involved: dict[int, int] = {}
         self._dep_fallback = False
         self._days_cache: list[int] | None = None
-        # min_size -> append-only whole-history (job, sig) block; see
-        # :meth:`sig_table`.  Derived, potentially large: never pickled.
-        self._sig_table_cache: dict[int, dict] = {}
 
     def __len__(self) -> int:
         return self._table.n_jobs
@@ -1303,16 +1296,6 @@ class WorkloadRepository:
         for key in [k for k in self._day_summaries if k[0] == day]:
             del self._day_summaries[key]
         self._closed_involved.pop(day, None)
-        # A day already folded into a cached sig table mutated (reopen
-        # or same-day re-ingest): that block can no longer be extended
-        # append-only, so drop it.  Brand-new days leave caches intact —
-        # they are appended on the next sig_table call.
-        for min_size in [
-            m
-            for m, state in self._sig_table_cache.items()
-            if day in state["days"]
-        ]:
-            del self._sig_table_cache[min_size]
 
     # -- dependency involvement ---------------------------------------------
     def _resolve_involved(self, day: int, closing: bool = False) -> int:
@@ -1395,91 +1378,6 @@ class WorkloadRepository:
         self._day_summaries[key] = (n_jobs, summary)
         return summary
 
-    def day_sig_table(self, day: int, min_size: int = 2):
-        """(local_rows, sig_bytes, n_jobs) for the shared-memory table."""
-        chunk = self._table.chunk(day)
-        flat_job, flat_sig = chunk.sig_rows(min_size)
-        return flat_job, chunk.sig_bytes()[flat_sig], chunk.n
-
-    def sig_table(
-        self, min_size: int = 2
-    ) -> tuple[np.ndarray, list[tuple[int, int, int, int]]]:
-        """Whole-history (job, signature) block, memoized append-only.
-
-        The structured ``(job_code, sig_bytes)`` array the parallel
-        analyze path publishes to shared memory.  Per call, only days
-        ingested since the last call are gathered from their chunks;
-        already-cached days extend with one memcpy and never reload a
-        (possibly spilled) chunk again — analyze cost per tick stays
-        O(new day), not O(history).  If a new day's signature pool is
-        wider than the cached block, the block is recast to the wider
-        byte width (zero-padded, exactly like a fresh build).  Job
-        codes are the day's global row offset plus the local row.
-        Returns ``(table, slices)`` with per-day
-        ``(day, start_row, stop_row, n_jobs)`` slices.
-        """
-        counts = self._table.day_counts
-        days = self.days()
-        state = self._sig_table_cache.get(min_size)
-        if state is not None:
-            cached_days = state["days"]
-            fresh = all(counts.get(d) == n for d, n in cached_days.items())
-            new_days = [d for d in days if d not in cached_days]
-            if (
-                fresh
-                and cached_days
-                and new_days
-                and min(new_days) < max(cached_days)
-            ):
-                # A day arrived out of order: appending would scramble
-                # the sorted-day layout, so rebuild from scratch.
-                fresh = False
-            if not fresh:
-                state = None
-        if state is None:
-            state = {"days": {}, "table": None, "slices": [], "offset": 0}
-            self._sig_table_cache[min_size] = state
-            new_days = days
-        table = state["table"]
-        if table is None:
-            table = np.zeros(
-                0, dtype=[("job", np.uint32), ("sig", "S1")]
-            )
-        if new_days:
-            width = table.dtype["sig"].itemsize
-            parts_job: list[np.ndarray] = []
-            parts_sig: list[np.ndarray] = []
-            total = len(table)
-            offset = state["offset"]
-            slices = state["slices"]
-            for day in new_days:
-                flat_job, flat_sig, n_jobs = self.day_sig_table(
-                    day, min_size
-                )
-                start = total
-                total += len(flat_job)
-                parts_job.append(flat_job.astype(np.uint64) + offset)
-                parts_sig.append(flat_sig)
-                if len(flat_sig):
-                    width = max(width, flat_sig.dtype.itemsize)
-                slices.append((day, start, total, n_jobs))
-                offset += n_jobs
-                state["days"][day] = n_jobs
-            dtype = [("job", np.uint32), ("sig", f"S{width}")]
-            grown = np.zeros(total, dtype=dtype)
-            n_old = len(table)
-            if n_old:
-                grown[:n_old] = table.astype(dtype, copy=False)
-            if total > n_old:
-                grown["job"][n_old:] = np.concatenate(parts_job)
-                grown["sig"][n_old:] = np.concatenate(
-                    [p.astype(f"S{width}") for p in parts_sig if len(p)]
-                )
-            table = grown
-            state["table"] = table
-            state["offset"] = offset
-        return table, list(state["slices"])
-
     # -- access --------------------------------------------------------------
     def job(self, job_id: str) -> JobRecord:
         found = self._table.find(job_id)
@@ -1537,15 +1435,3 @@ class WorkloadRepository:
     def chunk_stats(self) -> dict:
         """Hot/spilled chunk counts and byte estimates (ops surface)."""
         return self._table.stats()
-
-    # -- pickling ------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        # The whole-history sig block is derived and can be tens of MB;
-        # checkpoints rebuild it lazily on the first analyze.
-        state["_sig_table_cache"] = {}
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.__dict__.setdefault("_sig_table_cache", {})

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engine import Expression, signatures
-from repro.parallel import pmap
 
 _OPERATORS = ("Scan", "Filter", "Project", "Join", "Aggregate", "Union")
 
@@ -45,12 +44,6 @@ def plan_embedding(plan: Expression, table_vocabulary: list[str]) -> np.ndarray:
         + membership
         + [n_predicates, float(plan.depth), float(plan.size)]
     )
-
-
-def _embed_worker(payload: tuple[Expression, tuple[str, ...]]) -> np.ndarray:
-    """Worker: embed one representative plan (picklable module function)."""
-    plan, vocabulary = payload
-    return plan_embedding(plan, list(vocabulary))
 
 
 @dataclass
@@ -99,30 +92,9 @@ class SimilarityIndex:
             )
         return template
 
-    def bulk_add(self, plans: list[Expression], workers: int = 1) -> list[str]:
-        """Index many plans at once; embeddings fan across a process pool.
-
-        Returns the template of each input plan, in input order — the
-        same list a loop of :meth:`add` calls produces, with identical
-        final index state for every worker count.
-        """
-        templates = [signatures(plan).template for plan in plans]
-        fresh: list[tuple[str, Expression]] = []
-        claimed: set[str] = set()
-        for template, plan in zip(templates, plans):
-            if template in self._template_index or template in claimed:
-                continue
-            claimed.add(template)
-            fresh.append((template, plan))
-        vocabulary = tuple(self.table_vocabulary)
-        rows = pmap(
-            _embed_worker,
-            [(plan, vocabulary) for _, plan in fresh],
-            workers=workers,
-        )
-        for (template, plan), row in zip(fresh, rows):
-            self._append(template, plan, row)
-        return templates
+    def bulk_add(self, plans: list[Expression]) -> list[str]:
+        """Index many plans; returns each input plan's template, in order."""
+        return [self.add(plan) for plan in plans]
 
     def _ensure_matrix(self) -> None:
         n_rows = len(self._embeddings)

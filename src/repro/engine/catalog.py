@@ -101,7 +101,7 @@ class Catalog:
         Ties (several tables carrying the column) break alphabetically.
         Iterating the raw set here would let the interpreter's hash salt
         pick the owner, making estimates — and everything downstream of
-        them — differ between runs and between pool workers.
+        them — differ between runs.
         """
         for name in sorted(among):
             if name in self._tables and self._tables[name].has_column(column):

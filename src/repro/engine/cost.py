@@ -70,8 +70,8 @@ class DefaultCostModel:
         self._width_memo: dict[str, float] = {}
 
     def __getstate__(self) -> dict:
-        # Keep process-pool payloads small: workers rebuild their own
-        # memo instead of deserializing the parent's.
+        # Keep pickles (checkpoints) small: a restored copy rebuilds
+        # its own memo instead of deserializing the original's.
         state = dict(self.__dict__)
         state["_width_memo"] = {}
         return state

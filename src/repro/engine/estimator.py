@@ -69,8 +69,8 @@ class _EstimatorBase:
         self._estimate_memo: dict[str, float] = {}
 
     def __getstate__(self) -> dict:
-        # Keep process-pool payloads small: workers rebuild their own
-        # memo instead of deserializing the parent's.
+        # Keep pickles (checkpoints) small: a restored copy rebuilds
+        # its own memo instead of deserializing the original's.
         state = dict(self.__dict__)
         state["_estimate_memo"] = {}
         return state

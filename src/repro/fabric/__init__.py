@@ -8,13 +8,6 @@ registry, one retry/degrade failure story, one checkpoint format, one
 telemetry substrate.
 """
 
-from repro.fabric.checkpoint import (
-    CHECKPOINT_FORMAT,
-    checkpoint_bytes,
-    load_checkpoint,
-    restore_from_bytes,
-    save_checkpoint,
-)
 from repro.fabric.chaos import ChaosResult, run_chaos
 from repro.fabric.faults import (
     FaultInjector,
@@ -80,12 +73,6 @@ __all__ = [
     "FORMAT_V2",
     "ChaosResult",
     "run_chaos",
-    # deprecated module-function checkpoint API (one release of shims)
-    "CHECKPOINT_FORMAT",
-    "checkpoint_bytes",
-    "save_checkpoint",
-    "load_checkpoint",
-    "restore_from_bytes",
     "FleetConfig",
     "CORE_FLEET",
     "FULL_FLEET",

@@ -23,8 +23,8 @@ Three processes per experiment:
 
 ``run_chaos`` drives all three and returns a :class:`ChaosResult`;
 ``repro chaos`` is its CLI face.  Everything is deterministic given the
-seed, so the experiment doubles as a regression gate in CI — serial,
-with ``--workers 2``, and with injected faults.
+seed, so the experiment doubles as a regression gate in CI — plain and
+with injected faults.
 """
 
 from __future__ import annotations
@@ -122,7 +122,6 @@ def run_chaos(
     days: int = 5,
     kill_tick: int = 12,
     services: Sequence[str] | None = None,
-    workers: int = 1,
     faults: Sequence[str] = (),
     seed: int = 0,
     workdir: "Path | str | None" = None,
@@ -153,8 +152,6 @@ def run_chaos(
     common = ["--days", str(days), "--seed", str(seed)]
     if services:
         common += ["--services", ",".join(services)]
-    if workers != 1:
-        common += ["--workers", str(workers)]
     fault_args = [arg for spec in faults for arg in ("--inject-fault", spec)]
 
     baseline = _run(

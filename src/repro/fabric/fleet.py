@@ -124,15 +124,12 @@ class CloudViewsDriver(PipelineDriver):
     dirty_aware = True
     frozen_attrs = ("jobs_by_day",)
 
-    def __init__(
-        self, catalog, est_cost, truth, jobs_by_day, workers: int = 1
-    ) -> None:
+    def __init__(self, catalog, est_cost, truth, jobs_by_day) -> None:
         from repro.core.cloudviews import CloudViews
 
         self.service = CloudViews(catalog, est_cost)
         self.truth = truth
         self.jobs_by_day = jobs_by_day
-        self.workers = workers
         self.days: list[dict] = []
 
     def bind_obs(self, obs) -> None:
@@ -143,7 +140,7 @@ class CloudViewsDriver(PipelineDriver):
         if len(jobs) < 2:
             return
         self.mark_dirty()
-        report = self.service.run_day(jobs, self.truth, workers=self.workers)
+        report = self.service.run_day(jobs, self.truth)
         self.days.append(
             {
                 "day": ctx.day,
@@ -182,7 +179,6 @@ class PeregrineDriver(PipelineDriver):
     def __init__(
         self,
         jobs_by_day,
-        workers: int = 1,
         memory_budget_mb: int | None = None,
         spill_dir: str | None = None,
     ) -> None:
@@ -195,7 +191,6 @@ class PeregrineDriver(PipelineDriver):
             ),
             spill_dir=spill_dir,
         )
-        self.workers = workers
         self.stats: dict = {}
 
     def observe(self, ctx: TickContext) -> None:
@@ -224,7 +219,7 @@ class PeregrineDriver(PipelineDriver):
 
         if len(self.repo) == 0:
             return
-        stats = analyze(self.repo, workers=self.workers)
+        stats = analyze(self.repo)
         rounded = {
             name: _round(value) for name, value in stats.summary_rows()
         }
@@ -722,7 +717,6 @@ class FleetConfig:
     tenants: int = 14
     servers: int = 8
     customers: int = 48
-    workers: int = 1
     include: tuple[str, ...] = CORE_FLEET
     kea_machines_per_sku: int = 6
     autotune_apps: int = 16
@@ -736,7 +730,7 @@ class FleetConfig:
     repo_memory_budget_mb: int | None = None
     repo_spill_dir: str | None = None
     #: None = prefetch day d+1 on the worker pool iff it can overlap
-    #: (multi-core and the parallel substrate resolves to > 1 worker).
+    #: (see :meth:`StreamingJobSource.overlap_enabled`).
     overlap_prefetch: bool | None = None
 
     def __post_init__(self) -> None:
@@ -826,14 +820,12 @@ def build_fleet(plane, config: FleetConfig | None = None):
                     est_cost,
                     truth,
                     job_pairs,
-                    workers=config.workers,
                 )
             )
         if "peregrine" in include:
             plane.register(
                 PeregrineDriver(
                     jobs_by_day,
-                    workers=config.workers,
                     memory_budget_mb=config.repo_memory_budget_mb,
                     spill_dir=config.repo_spill_dir,
                 )

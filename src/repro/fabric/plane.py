@@ -165,9 +165,9 @@ class ControlPlane:
         #: ctx)``.  Process-local (never checkpointed); the chaos
         #: harness installs its SIGKILL trigger here.
         self.tick_hook: Callable[["ControlPlane", ServiceBinding, TickContext], None] | None = None
-        # The fabric owns the persistent worker pool's lifecycle: the
-        # handle is cheap (workers start lazily on the first parallel
-        # dispatch), is reused across every tick and simulated day,
+        # The fabric owns the prefetch worker pool's lifecycle: the
+        # handle is cheap (the worker starts lazily on the first
+        # prefetch), is reused across every tick and simulated day,
         # is never checkpointed (see fabric.store — restore gets a
         # fresh handle here, re-armed on next use), and is shut down by
         # ``close()``.
@@ -476,8 +476,7 @@ class ControlPlane:
         """Release fabric-owned resources: shut the worker pool down.
 
         Safe at any point — a later ``run_days`` simply re-arms a fresh
-        pool on its first parallel dispatch.  Also runs on ``with``
-        exit.
+        pool on its first prefetch.  Also runs on ``with`` exit.
         """
         self.pool.shutdown()
 

@@ -472,8 +472,6 @@ class CheckpointStore:
 
     @staticmethod
     def _core_state(plane: "ControlPlane") -> dict:
-        from repro.parallel import get_tuner
-
         return {
             "day": plane.day,
             "now": plane.queue.now,
@@ -484,10 +482,6 @@ class CheckpointStore:
             "health": plane.health,
             "mirrored": plane._lifecycle_mirrored,
             "total_ticks": plane.total_ticks,
-            # The process-wide granularity tuner rides every frame so a
-            # killed-and-restored fleet resumes with its trained cost
-            # model instead of re-exploring dispatch granularity.
-            "tuner": get_tuner().state_dict(),
         }
 
     def _emit_saved(
@@ -614,11 +608,8 @@ def _serialize_driver(driver: "PipelineDriver", shared: dict[int, str]) -> bytes
 def _plane_from_core(core: dict) -> "ControlPlane":
     from repro.fabric.plane import ControlPlane
 
-    tuner_state = core.get("tuner")  # absent in pre-tuner checkpoints
-    if tuner_state is not None:
-        from repro.parallel import get_tuner
-
-        get_tuner().load_state_dict(tuner_state)
+    # Older chains may carry extra core keys (a "tuner" entry); restore
+    # reads only the keys below, so they load unchanged.
     plane = ControlPlane(
         registry=core["registry"],
         retry=core["retry"],

@@ -19,8 +19,8 @@ Two generation paths share the cache:
   for callers that want :class:`Job` objects.
 
 When overlap is enabled, accessing day ``d`` also submits day ``d+1``'s
-generation to the persistent :class:`~repro.parallel.WorkerPool`: the
-worker process replays the generator from the exact per-day RNG state
+generation to the fabric's one-worker :class:`~repro.parallel.WorkerPool`:
+the worker process replays the generator from the exact per-day RNG state
 the parent hands it, so the prefetched batch is bit-identical to a
 local build, and the returned day-``d+2`` RNG state keeps the parent's
 replay chain seamless.  Futures are process-local and never pickled —
@@ -38,7 +38,7 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING
 
-from repro.parallel import get_pool, resolve_workers
+from repro.parallel import FORCE_ENV, get_pool
 from repro.workloads.scope import (
     Job,
     ScopeWorkloadConfig,
@@ -94,9 +94,10 @@ class StreamingJobSource:
 
     ``overlap`` controls next-day prefetch on the shared worker pool:
     ``True``/``False`` force it, ``None`` (default) enables it only
-    when more than one CPU is available and the parallel substrate
-    would actually fan out (so single-core boxes and test runs never
-    pay pool startup for a prefetch that can't overlap anything).
+    when more than one CPU is available and the run is not under
+    pytest without ``REPRO_PARALLEL_FORCE`` (so single-core boxes and
+    test runs never pay pool startup for a prefetch that can't overlap
+    anything).
     """
 
     def __init__(
@@ -138,7 +139,9 @@ class StreamingJobSource:
             return self.overlap
         if (os.cpu_count() or 1) <= 1:
             return False
-        return resolve_workers(2) > 1
+        return "PYTEST_CURRENT_TEST" not in os.environ or bool(
+            os.environ.get(FORCE_ENV)
+        )
 
     def _maybe_prefetch(self, day: int) -> None:
         if not 0 <= day < self.days or not self.overlap_enabled():

@@ -1,81 +1,18 @@
-"""Process-parallel fan-out substrate for fleet-scale analysis.
+"""The fabric's one-worker process pool for next-day prefetch.
 
-CloudViews mines common subexpressions across hundreds of thousands of
-daily jobs and Peregrine analyzes recurrence over the whole fleet
-(Section 4.2); this package is the shared scale-out layer both ride:
+A streaming fleet generates each simulated day from its seed.  While
+the services consume day ``d``, :class:`~repro.fabric.StreamingJobSource`
+builds day ``d+1`` on a single worker process and ships it back as
+flat arrays.  That overlap is the only use of a process pool here:
+every analysis runs serially in-process.
 
-- :func:`pmap` — order-preserving map over a **persistent** process
-  pool with a serial twin,
-- :func:`shard_map` — deterministic shard-then-map by stable key hash,
-- :class:`WorkerPool` — the lazily-started, fabric-owned pool reused
-  across calls, ticks, and simulated days (:func:`get_pool` is the
-  process-wide handle),
-- :mod:`~repro.parallel.autotune` — the granularity cost model routing
-  too-small batches back to serial and flooring chunk sizes,
-- :mod:`~repro.parallel.shm` — the shared-memory data plane (publish
-  shards once per epoch, workers attach zero-copy),
-- :mod:`~repro.parallel.sharding` — the partitioning contract (blake2b
-  key hashing, worker-count-independent shard membership).
-
-The invariant every caller relies on: **parallel results are
-bit-identical to serial results** — ``workers`` is a throughput knob,
-never a semantics knob.
+- :class:`WorkerPool` — the lazily started single-worker pool
+  (``submit``/``shutdown``/``stats``),
+- :func:`get_pool` — the process-wide handle the control plane owns,
+- :func:`shutdown_pool` — stop its worker (the next submit re-arms it),
+- :data:`FORCE_ENV` — run the real pool even under pytest.
 """
 
-from repro.parallel.autotune import DispatchPlan, FnProfile, GranularityTuner
-from repro.parallel.pool import (
-    FORCE_ENV,
-    START_METHOD_ENV,
-    WorkerPool,
-    default_start_method,
-    get_pool,
-    get_tuner,
-    pmap,
-    resolve_workers,
-    shard_map,
-    shutdown_pool,
-)
-from repro.parallel.sharding import (
-    DEFAULT_N_SHARDS,
-    shard_items,
-    shard_of,
-    stable_hash,
-)
-from repro.parallel.shm import (
-    ArenaHandle,
-    BytesArena,
-    ShmArray,
-    ShmHandle,
-    arena_blob,
-    attach,
-    close_all,
-    detach_all,
-)
+from repro.parallel.pool import FORCE_ENV, WorkerPool, get_pool, shutdown_pool
 
-__all__ = [
-    "pmap",
-    "shard_map",
-    "resolve_workers",
-    "WorkerPool",
-    "get_pool",
-    "shutdown_pool",
-    "get_tuner",
-    "default_start_method",
-    "GranularityTuner",
-    "DispatchPlan",
-    "FnProfile",
-    "ShmArray",
-    "BytesArena",
-    "ShmHandle",
-    "ArenaHandle",
-    "attach",
-    "arena_blob",
-    "close_all",
-    "detach_all",
-    "shard_items",
-    "shard_of",
-    "stable_hash",
-    "DEFAULT_N_SHARDS",
-    "FORCE_ENV",
-    "START_METHOD_ENV",
-]
+__all__ = ["WorkerPool", "get_pool", "shutdown_pool", "FORCE_ENV"]

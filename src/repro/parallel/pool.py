@@ -1,38 +1,15 @@
-"""Persistent process-pool fan-out with a guaranteed serial twin.
+"""A persistent single-worker process pool for next-day prefetch.
 
-The paper's service layer learns from fleet-sized shared repositories —
-hundreds of thousands of daily jobs — so the analysis layer must scale
-*out* across cores, not just *up* per core.  :func:`pmap` and
-:func:`shard_map` are the two fan-out shapes every analysis here uses,
-with one contract on top:
+The pool does not exist until the first :meth:`WorkerPool.submit`;
+after that one worker process serves every prefetch until
+:meth:`WorkerPool.shutdown` (or interpreter exit).  ``shutdown`` is
+never final: the next submit re-arms a fresh worker, which is what
+lets a fabric resume after checkpoint restore without ceremony.
 
-**the parallel result is bit-identical to the serial result.**
-
-That holds because (a) worker functions are pure, (b) ``pmap`` preserves
-input order, and (c) sharding is by stable key hash
-(:mod:`repro.parallel.sharding`), never by worker count.  Callers can
-therefore treat ``workers`` as a pure throughput knob.
-
-Three layers make the knob actually pay (it used to *cost* 4–5x on
-small batches — pool spawn plus shard pickling ate every win):
-
-- :class:`WorkerPool` — one **persistent** pool per process, started
-  lazily on the first real dispatch and reused across every subsequent
-  ``pmap`` call, fabric tick, and simulated day.  Spawn is paid once;
-  warm dispatches ride the living workers.  ``atexit`` tears it down,
-  and :meth:`WorkerPool.shutdown` re-arms lazily afterwards.
-- :class:`~repro.parallel.autotune.GranularityTuner` — a measured cost
-  model that routes batches too small to amortize dispatch overhead
-  back to the serial twin and floors chunk sizes so chunks carry real
-  work (see :mod:`repro.parallel.autotune`).
-- :mod:`repro.parallel.shm` — the shared-memory data plane: big shards
-  are published once per epoch and workers attach zero-copy, so pool
-  tasks carry handles instead of pickled object lists.
-
-Serial fallback: ``workers <= 1`` runs in-process with zero pool
-machinery, and so does any call made under pytest (pool startup is slow
-and sandbox-hostile inside test runs) unless ``REPRO_PARALLEL_FORCE=1``
-is set — the equivalence tests set it to exercise the real warm pool.
+Under pytest the fabric does not use the pool unless
+``REPRO_PARALLEL_FORCE=1`` is set (pool startup is slow and
+sandbox-hostile inside test runs); the prefetch tests set it to drive
+the real worker.
 """
 
 from __future__ import annotations
@@ -41,12 +18,9 @@ import atexit
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
-
-from repro.parallel.autotune import DispatchPlan, GranularityTuner
-from repro.parallel.sharding import DEFAULT_N_SHARDS, shard_items
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 if TYPE_CHECKING:
     from repro.obs.runtime import ObservabilityRuntime
@@ -54,82 +28,27 @@ if TYPE_CHECKING:
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Environment switch: run real pools even under pytest.
+#: Environment switch: run the real pool even under pytest.
 FORCE_ENV = "REPRO_PARALLEL_FORCE"
-#: Environment override for the pool start method (fork/forkserver/spawn).
-START_METHOD_ENV = "REPRO_PARALLEL_START"
 
 
-def resolve_workers(workers: int | None) -> int:
-    """The worker count a fan-out call will actually use.
-
-    ``None`` or anything ``<= 1`` means serial.  Under pytest
-    (``PYTEST_CURRENT_TEST`` set) the answer is serial unless
-    ``REPRO_PARALLEL_FORCE`` is set, so the suite never pays pool
-    startup by accident.  The count is *not* clamped to ``cpu_count``:
-    oversubscription is harmless for correctness (results never depend
-    on the worker count) and lets scaling benches measure honestly.
-    """
-    if workers is None or workers <= 1:
-        return 1
-    if "PYTEST_CURRENT_TEST" in os.environ and not os.environ.get(FORCE_ENV):
-        return 1
-    return int(workers)
-
-
-def default_start_method() -> str:
-    """The multiprocessing start method pools use on this platform.
-
-    ``REPRO_PARALLEL_START`` overrides; otherwise ``fork`` where the OS
-    offers it (cheapest cold start) and ``spawn`` elsewhere.  Worker
-    functions are module-level and payloads picklable throughout, so
-    every start method — including forkserver and spawn — is safe.
-    """
-    methods = multiprocessing.get_all_start_methods()
-    wanted = os.environ.get(START_METHOD_ENV)
-    if wanted:
-        if wanted not in methods:
-            raise ValueError(
-                f"{START_METHOD_ENV}={wanted!r} not in {methods}"
-            )
-        return wanted
-    return "fork" if "fork" in methods else "spawn"
-
-
-def _warmup(_: int = 0) -> int:
-    """No-op dispatched at pool start so spawn cost is measured honestly."""
+def _warmup() -> int:
+    """No-op submitted at pool start so spawn cost is measured honestly."""
     return os.getpid()
 
 
 class WorkerPool:
-    """A persistent, lazily-started, obs-instrumented process pool.
+    """A lazily started, obs-instrumented, one-worker process pool."""
 
-    The pool does not exist until the first :meth:`ensure`/:meth:`map`
-    with real width; after that the same worker processes serve every
-    dispatch until :meth:`shutdown` (or interpreter exit).  Asking for
-    more width than the current pool has restarts it wider — the
-    high-water width then persists.  ``shutdown`` is never final: the
-    next dispatch transparently re-arms a fresh pool, which is what
-    lets a fabric resume after checkpoint restore without ceremony.
-    """
-
-    def __init__(
-        self,
-        start_method: str | None = None,
-        obs: "ObservabilityRuntime | None" = None,
-    ) -> None:
-        self._start_method = start_method
+    def __init__(self) -> None:
         self._executor: ProcessPoolExecutor | None = None
-        self._width = 0
-        self._obs = obs
+        self._obs: "ObservabilityRuntime | None" = None
         #: Pools started over this handle's lifetime (cold starts).
         self.generation = 0
         #: Measured wall seconds of the last cold start (incl. warmup).
         self.spawn_seconds = 0.0
         self.dispatches = 0
-        self.items_dispatched = 0
 
-    # -- observability ---------------------------------------------------------
     def bind(self, obs: "ObservabilityRuntime | None") -> "WorkerPool":
         """Attach (or detach) an observability runtime; returns self."""
         self._obs = obs
@@ -139,117 +58,79 @@ class WorkerPool:
         if self._obs is not None:
             self._obs.emit("parallel", "pool", kind, value=value, **attributes)
 
-    def _span(self, name: str, **attributes: object):
-        if self._obs is None:
-            return nullcontext()
-        return self._obs.span(name, layer="parallel", **attributes)
-
-    # -- lifecycle -------------------------------------------------------------
     @property
     def started(self) -> bool:
         return self._executor is not None
 
     @property
     def width(self) -> int:
-        return self._width
+        """Live worker processes: 1 once started, 0 while cold."""
+        return 1 if self.started else 0
 
-    def ensure(self, workers: int) -> ProcessPoolExecutor:
-        """An executor at least ``workers`` wide (start or grow-restart)."""
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self._executor is not None and self._width >= workers:
-            return self._executor
+    def _ensure(self) -> ProcessPoolExecutor:
         if self._executor is not None:
-            self._stop()
-        method = self._start_method or default_start_method()
+            return self._executor
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         clock = time.perf_counter()
         executor = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context(method),
+            max_workers=1, mp_context=multiprocessing.get_context(method)
         )
-        # Force at least one worker fully up so ``spawn_seconds`` is the
-        # honest cold-start latency, not a deferred-fork illusion.
+        # Force the worker fully up so ``spawn_seconds`` is the honest
+        # cold-start latency, not a deferred-fork illusion.
         executor.submit(_warmup).result()
         self.spawn_seconds = time.perf_counter() - clock
         self._executor = executor
-        self._width = workers
         self.generation += 1
         self._emit(
             "pool_start",
             value=self.spawn_seconds,
-            workers=workers,
             start_method=method,
             generation=self.generation,
         )
         return executor
 
-    def map(
-        self,
-        fn: Callable[[T], R],
-        items: Sequence[T],
-        workers: int,
-        chunksize: int = 1,
-    ) -> list[R]:
-        """Order-preserving map over the (possibly grown) warm pool."""
-        with self._span(
-            "parallel.dispatch",
-            fn=getattr(fn, "__qualname__", repr(fn)),
-            n_items=len(items),
-            workers=workers,
-            chunksize=chunksize,
-        ):
-            executor = self.ensure(workers)
-            self.dispatches += 1
-            self.items_dispatched += len(items)
-            return list(executor.map(fn, items, chunksize=chunksize))
+    def submit(self, fn: Callable[[T], R], item: T) -> "Future[R]":
+        """Run ``fn(item)`` on the worker; returns its Future.
 
-    def submit(self, fn: Callable[[T], R], item: T, workers: int = 1):
-        """One async task on the warm pool; returns its Future.
-
-        The single-task escape hatch :meth:`map` doesn't cover: overlap
-        work (e.g. prefetching the next fabric day's generation) rides
-        the same persistent workers without blocking the caller.  The
-        future is process-local — callers must not pickle it; dropping
-        it is safe (the task just runs to completion unobserved).
+        ``fn`` must be a module-level (picklable) function.  The future
+        is process-local — callers must not pickle it; dropping it is
+        safe (the task just runs to completion unobserved).
         """
-        with self._span(
-            "parallel.submit",
-            fn=getattr(fn, "__qualname__", repr(fn)),
-        ):
-            executor = self.ensure(max(workers, 1))
+        span = (
+            nullcontext()
+            if self._obs is None
+            else self._obs.span(
+                "parallel.submit",
+                layer="parallel",
+                fn=getattr(fn, "__qualname__", repr(fn)),
+            )
+        )
+        with span:
+            executor = self._ensure()
             self.dispatches += 1
-            self.items_dispatched += 1
             return executor.submit(fn, item)
 
-    def _stop(self) -> None:
-        executor = self._executor
-        self._executor = None
-        self._width = 0
-        if executor is not None:
-            executor.shutdown(wait=True, cancel_futures=True)
-
     def shutdown(self) -> None:
-        """Stop the workers now; the next dispatch re-arms lazily."""
-        was_started = self.started
-        self._stop()
-        if was_started:
-            self._emit("pool_shutdown", generation=self.generation)
+        """Stop the worker now; the next submit re-arms lazily."""
+        executor = self._executor
+        if executor is None:
+            return
+        self._executor = None
+        executor.shutdown(wait=True, cancel_futures=True)
+        self._emit("pool_shutdown", generation=self.generation)
 
     def stats(self) -> dict:
         """JSON-able lifecycle counters (bench/CLI output)."""
         return {
             "started": self.started,
-            "width": self._width,
+            "width": self.width,
             "generation": self.generation,
             "spawn_seconds": self.spawn_seconds,
             "dispatches": self.dispatches,
-            "items_dispatched": self.items_dispatched,
         }
 
 
-# -- process-wide shared pool and tuner ---------------------------------------
 _SHARED_POOL: WorkerPool | None = None
-_TUNER = GranularityTuner()
 
 
 def get_pool() -> WorkerPool:
@@ -262,86 +143,6 @@ def get_pool() -> WorkerPool:
 
 
 def shutdown_pool() -> None:
-    """Shut the shared pool down (no-op when it never started).
-
-    Only the worker processes go away.  The granularity tuner's learned
-    cost model (:func:`get_tuner`) is deliberately untouched, so a pool
-    re-armed by the next dispatch resumes with trained per-item EWMAs
-    instead of re-exploring from scratch.
-    """
+    """Shut the shared pool down (no-op when it never started)."""
     if _SHARED_POOL is not None:
         _SHARED_POOL.shutdown()
-
-
-def get_tuner() -> GranularityTuner:
-    """The process-wide granularity tuner ``pmap`` consults."""
-    return _TUNER
-
-
-# -- fan-out entry points ------------------------------------------------------
-def _run_serial(
-    fn: Callable[[T], R], work: Sequence[T], tuner: GranularityTuner
-) -> list[R]:
-    clock = time.perf_counter()
-    out = [fn(item) for item in work]
-    tuner.note_serial(fn, len(work), time.perf_counter() - clock)
-    return out
-
-
-def pmap(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    workers: int | None = None,
-    chunksize: int | None = None,
-    pool: WorkerPool | None = None,
-    tuner: GranularityTuner | None = None,
-) -> list[R]:
-    """Order-preserving map, fanned across the persistent process pool.
-
-    ``fn`` must be a module-level (picklable) function.  With
-    ``workers <= 1`` — or whenever the granularity tuner predicts the
-    batch cannot amortize dispatch overhead — this is exactly
-    ``[fn(x) for x in items]`` (and that serial run trains the tuner's
-    per-item cost model).  An explicit ``chunksize`` bypasses the tuner
-    and forces a pool dispatch at exactly that chunking.  ``pool`` and
-    ``tuner`` default to the process-wide shared instances.
-    """
-    work: Sequence[T] = (
-        items if isinstance(items, (list, tuple)) else list(items)
-    )
-    n = resolve_workers(workers)
-    tuner = tuner if tuner is not None else _TUNER
-    if n <= 1 or len(work) <= 1:
-        return _run_serial(fn, work, tuner)
-    if chunksize is not None:
-        plan = DispatchPlan(True, max(1, int(chunksize)), "explicit")
-    else:
-        plan = tuner.plan(fn, len(work), n)
-    if not plan.parallel:
-        return _run_serial(fn, work, tuner)
-    pool = pool if pool is not None else get_pool()
-    cold = not pool.started or pool.width < n
-    clock = time.perf_counter()
-    out = pool.map(fn, work, workers=n, chunksize=plan.chunksize)
-    tuner.note_parallel(
-        fn, len(work), n, time.perf_counter() - clock, cold=cold
-    )
-    return out
-
-
-def shard_map(
-    fn: Callable[[list[T]], R],
-    items: Sequence[T] | Iterable[T],
-    key: Callable[[T], str],
-    n_shards: int = DEFAULT_N_SHARDS,
-    workers: int | None = None,
-) -> list[R]:
-    """Partition ``items`` by stable key hash and map ``fn`` per shard.
-
-    Returns one result per shard, in shard-index order (including empty
-    shards), so downstream merges are deterministic.  ``n_shards`` is
-    independent of ``workers`` by design: changing the worker count must
-    never change what any shard contains.
-    """
-    shards = shard_items(items, key, n_shards)
-    return pmap(fn, shards, workers=workers)

@@ -49,7 +49,6 @@ from repro.engine.signatures import (
     signatures,
 )
 from repro.engine.skeleton import plan_skeleton, skeleton_text
-from repro.parallel import DEFAULT_N_SHARDS, shard_items
 
 if TYPE_CHECKING:
     from repro.core.peregrine.repository import JobBatch
@@ -59,19 +58,6 @@ HOURS_PER_DAY = 24.0
 #: C-level sort key for the per-day stable sort (same order as the old
 #: ``lambda j: j.submit_hour``, measurably cheaper at 100k+ jobs/day).
 _BY_SUBMIT_HOUR = attrgetter("submit_hour")
-
-
-def _job_shard_key(job: "Job") -> str:
-    """Stable shard key: template for recurring jobs, job id for ad-hoc.
-
-    Keying recurring jobs by template keeps every instance of a template
-    in one shard, so per-template analyses (candidate enumeration,
-    micromodel training) never straddle a shard boundary.  Module-level
-    so sharded job lists stay picklable for process pools.
-    """
-    if job.template_id is not None:
-        return f"template:{job.template_id}"
-    return f"job:{job.job_id}"
 
 
 @dataclass
@@ -99,9 +85,9 @@ class Job:
 class Workload:
     """A multi-day trace of jobs plus the catalog they run against.
 
-    ``by_day`` and ``shards`` return memoized tuples: the trace is
-    immutable once built, so callers get zero-copy views instead of a
-    fresh list per call (both sit in per-day fabric loops).
+    ``by_day`` returns memoized tuples: the trace is immutable once
+    built, so callers get zero-copy views instead of a fresh list per
+    call (it sits in per-day fabric loops).
     """
 
     jobs: list[Job]
@@ -110,12 +96,10 @@ class Workload:
 
     def __post_init__(self) -> None:
         self._day_cache: dict[int, tuple[Job, ...]] = {}
-        self._shard_cache: dict[int, tuple[tuple[Job, ...], ...]] = {}
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state["_day_cache"] = {}
-        state["_shard_cache"] = {}
         return state
 
     def __len__(self) -> int:
@@ -157,27 +141,6 @@ class Workload:
             if j.job_id == job_id:
                 return j
         raise KeyError(f"unknown job {job_id!r}")
-
-    def shards(self, n_shards: int = DEFAULT_N_SHARDS) -> tuple[tuple[Job, ...], ...]:
-        """Deterministic fan-out-ready partition of the trace.
-
-        Shard membership depends only on each job's stable key (template
-        id for recurring jobs, job id for ad-hoc) and the shard count —
-        never on worker count or hash seed — so sharded analyses merge
-        back identically on every run.  Submit order is preserved within
-        each shard.  The assignment is memoized per shard count and
-        returned as tuples — treat them as read-only views.
-        """
-        cached = self._shard_cache.get(n_shards)
-        if cached is None:
-            cached = tuple(
-                tuple(shard)
-                for shard in shard_items(
-                    self.jobs, key=_job_shard_key, n_shards=n_shards
-                )
-            )
-            self._shard_cache[n_shards] = cached
-        return cached
 
 
 @dataclass

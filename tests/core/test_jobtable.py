@@ -15,7 +15,8 @@ import pytest
 
 from repro.core.peregrine import JobBatch, WorkloadRepository, analyze
 from repro.core.peregrine.repository import COLUMNS, _hash_ids
-from repro.workloads.scope import ScopeWorkloadConfig, ScopeWorkloadGenerator
+from repro.engine import Scan
+from repro.workloads.scope import Job, ScopeWorkloadConfig, ScopeWorkloadGenerator
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +122,27 @@ class TestSpill:
         assert repo.chunk_stats()["hot_chunks"] == 1
         repo.by_day(0)  # pages day 0 back in, evicts another chunk
         assert repo.chunk_stats()["hot_chunks"] <= 2
+
+    def test_analyze_after_spill_never_reloads_cached_days(self, tmp_path):
+        generator = ScopeWorkloadGenerator(rng=5, config=ScopeWorkloadConfig())
+        repo = WorkloadRepository(
+            memory_budget_bytes=1, spill_dir=str(tmp_path / "chunks")
+        )
+        for day in range(3):
+            repo.ingest_batch(generator.day_batch(day))
+        assert repo.chunk_stats()["spilled_chunks"] >= 1
+        first = analyze(repo)
+        loads_after_first = repo.chunk_stats()["loads"]
+        second = analyze(repo)
+        assert pickle.dumps(first) == pickle.dumps(second)
+        # the cached per-day summaries answered without paging any
+        # chunk back in
+        assert repo.chunk_stats()["loads"] == loads_after_first
+        # a new day only ever summarizes itself
+        repo.ingest_batch(generator.day_batch(3))
+        loads_before = repo.chunk_stats()["loads"]
+        analyze(repo)
+        assert repo.chunk_stats()["loads"] <= loads_before + 1
 
     def test_no_spill_without_spill_dir(self, workload):
         repo = _batched(workload, memory_budget_bytes=1)
@@ -292,3 +314,45 @@ class TestChunkFormat:
         clone = pickle.loads(blob)
         assert clone._plans == {}
         assert clone.plan(0) == batch.plan(0)
+
+
+def tiny_batch(
+    day: int,
+    sig_names: list[str],
+    sig_sizes: list[int],
+    n_jobs: int = 2,
+) -> JobBatch:
+    """A one-plan batch with a hand-controlled signature pool."""
+    plan = Scan(f"t{day}")
+    batch = JobBatch.from_jobs(
+        [
+            Job(job_id=f"d{day}-j{k}", plan=plan, submit_hour=24.0 * day + k)
+            for k in range(n_jobs)
+        ]
+    )
+    batch.sig_names = np.asarray(sig_names, dtype="S")
+    batch.sig_sizes = np.asarray(sig_sizes, dtype=np.uint32)
+    batch.sig_counts = np.asarray([len(sig_names)], dtype=np.uint32)
+    batch.sig_codes = np.arange(len(sig_names), dtype=np.uint32)
+    return batch
+
+
+class TestGlobalJobIndex:
+    def test_cross_day_duplicate_detected_via_merged_index(self):
+        repo = WorkloadRepository()
+        repo.ingest_batch(tiny_batch(0, ["aa"], [2]))
+        duplicate = tiny_batch(1, ["bb"], [2])
+        duplicate.job_ids = ["d0-j0", "d1-j1"]
+        with pytest.raises(ValueError, match="already ingested"):
+            repo.ingest_batch(duplicate)
+
+    def test_find_after_many_days_and_restore(self):
+        repo = WorkloadRepository()
+        for day in range(5):
+            repo.ingest_batch(tiny_batch(day, ["aa"], [2]))
+        assert repo.job("d3-j1").job_id == "d3-j1"
+        clone = pickle.loads(pickle.dumps(repo))
+        assert clone._table._global_index is None
+        assert clone.job("d3-j1").job_id == "d3-j1"
+        with pytest.raises(KeyError):
+            clone.job("d9-j0")

@@ -100,6 +100,20 @@ class TestIndex:
         matches = [index.nearest(j.plan) for j in adhoc]
         assert all(m is not None for m in matches)
 
+    def test_bulk_add_matches_sequential_adds(self, world):
+        plans = [job.plan for job in world["workload"].jobs[:60]]
+        vocabulary = [t.name for t in world["catalog"].tables()]
+        bulk_index = SimilarityIndex(vocabulary)
+        bulk_templates = bulk_index.bulk_add(plans)
+        loop_index = SimilarityIndex(vocabulary)
+        loop_templates = [loop_index.add(plan) for plan in plans]
+        assert bulk_templates == loop_templates
+        assert bulk_index._templates == loop_index._templates
+        np.testing.assert_array_equal(
+            np.vstack(bulk_index._embeddings),
+            np.vstack(loop_index._embeddings),
+        )
+
 
 class TestIncrementalMatrix:
     def test_matrix_grows_by_appending_rows(self, index):

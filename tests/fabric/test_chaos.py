@@ -33,13 +33,6 @@ class TestChaosEndToEnd:
         assert result.frames >= KILL_TICK
         assert result.identical, result.summary()
 
-    def test_parallel_workers_resume_byte_identical(self, tmp_path):
-        result = run_chaos(
-            days=DAYS, kill_tick=KILL_TICK, workers=2, workdir=tmp_path
-        )
-        assert result.victim_returncode < 0
-        assert result.identical, result.summary()
-
     def test_injected_faults_survive_the_kill(self, tmp_path):
         # A fault mid-retry at the kill point must resume mid-backoff,
         # not restart at attempt one (the injector state is durable).

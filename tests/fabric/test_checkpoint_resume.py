@@ -5,7 +5,7 @@ runs 7 simulated days; checkpointing at day 3, restoring (optionally in
 a fresh interpreter via pickle bytes), and running the remaining 4 days
 must produce the *byte-identical* final report an uninterrupted run
 produces — through both checkpoint formats (@1 full pickle, @2
-base+delta chain) and through the deprecated module-function shims.
+base+delta chain).
 """
 
 import pickle
@@ -27,9 +27,9 @@ DAYS = 7
 CHECKPOINT_AT = 3
 
 
-def _fleet_plane(injector=None, workers=1):
+def _fleet_plane(injector=None):
     plane = ControlPlane(injector=injector)
-    build_fleet(plane, FleetConfig(days=DAYS, workers=workers))
+    build_fleet(plane, FleetConfig(days=DAYS))
     return plane
 
 
@@ -85,11 +85,6 @@ class TestFleetCheckpointResume:
         plane.run_days(CHECKPOINT_AT)
         CheckpointStore(tmp_path / "store").save(plane)
         plane.run_days(DAYS - CHECKPOINT_AT)
-        assert plane.report_bytes() == uninterrupted_report
-
-    def test_parallel_workers_match_serial(self, uninterrupted_report):
-        plane = _fleet_plane(workers=2)
-        plane.run_days(DAYS)
         assert plane.report_bytes() == uninterrupted_report
 
     def test_file_round_trip(self, tmp_path, uninterrupted_report):
@@ -181,32 +176,3 @@ class TestCheckpointFormat:
         assert feedback.loop is not None
         assert feedback.loop.registry is restored.registry
         assert restored.lifecycle.registry is restored.registry
-
-
-class TestDeprecatedShims:
-    """The old module-function API still works, one release, warning."""
-
-    def test_bytes_shims_warn_and_round_trip(self, uninterrupted_report):
-        from repro.fabric.checkpoint import checkpoint_bytes, restore_from_bytes
-
-        plane = _fleet_plane()
-        plane.run_days(CHECKPOINT_AT)
-        with pytest.warns(DeprecationWarning, match="repro.fabric.store"):
-            blob = checkpoint_bytes(plane)
-        with pytest.warns(DeprecationWarning, match="repro.fabric.store"):
-            restored = restore_from_bytes(blob)
-        restored.run_days(DAYS - CHECKPOINT_AT)
-        assert restored.report_bytes() == uninterrupted_report
-
-    def test_file_shims_warn_and_round_trip(self, tmp_path):
-        from repro.fabric.checkpoint import load_checkpoint, save_checkpoint
-
-        plane = ControlPlane()
-        plane.register(RecordingDriver())
-        plane.run_days(2)
-        path = tmp_path / "fabric.ckpt"
-        with pytest.warns(DeprecationWarning, match="save_checkpoint"):
-            save_checkpoint(plane, path)
-        with pytest.warns(DeprecationWarning, match="load_checkpoint"):
-            restored = load_checkpoint(path)
-        assert restored.day == 2

@@ -1,56 +1,42 @@
-"""Fabric ownership of the persistent worker pool.
+"""Fabric ownership of the next-day prefetch pool.
 
-The control plane owns the pool's lifecycle: workers start lazily on the
-first parallel dispatch, survive across ticks and simulated days, are
-never checkpointed, and stop on ``close()``.  Resume after restore must
-re-arm the pool transparently and still report byte-identically.
+The control plane owns the one-worker pool's lifecycle: the worker
+starts lazily on the first prefetch, survives across ticks and
+simulated days, is never checkpointed, and stops on ``close()``.
+Resume after restore must re-arm the pool transparently and still
+report byte-identically.
 """
 
 import os
 import pickle
-from dataclasses import dataclass, field
 
-import pytest
-
-from repro.fabric import ControlPlane
-from repro.fabric.pipeline import PipelineDriver, TickContext
+from repro.fabric import ControlPlane, FleetConfig, build_fleet
 from repro.fabric.store import checkpoint_bytes_v1, restore_v1
-from repro.parallel import FORCE_ENV, pmap, shutdown_pool
+from repro.parallel import FORCE_ENV, shutdown_pool
 
 
-def _cube(x: int) -> int:
-    return x**3
-
-
-def _worker_pid(x: int) -> int:
+def _worker_pid(_: object) -> int:
     return os.getpid()
 
 
-@dataclass
-class PoolDriver(PipelineDriver):
-    """Driver whose tick fans work across the plane's pool."""
-
-    name: str = "pooluser"
-    total: int = 0
-    pids: list[int] = field(default_factory=list)  # never reported
-
-    def observe(self, ctx: TickContext) -> None:
-        values = pmap(
-            _cube, range(8 * (ctx.day + 1)), workers=2, chunksize=2
-        )
-        self.total += sum(values)
-        self.pids.extend(
-            pmap(_worker_pid, range(4), workers=2, chunksize=1)
-        )
-
-    def final_report(self) -> dict:
-        # PIDs stay out: reports must be byte-identical across resumes.
-        return {"total": self.total}
+def _streaming_plane(overlap: bool | None = True) -> ControlPlane:
+    """A streaming Peregrine fleet whose day source prefetches."""
+    plane = ControlPlane()
+    build_fleet(
+        plane,
+        FleetConfig(
+            days=3,
+            jobs_per_day=300,
+            include=("peregrine",),
+            streaming=True,
+            overlap_prefetch=overlap,
+        ),
+    )
+    return plane
 
 
-@pytest.fixture
-def force_pools(monkeypatch):
-    monkeypatch.setenv(FORCE_ENV, "1")
+def _source(plane: ControlPlane):
+    return plane.bindings[0].driver.jobs_by_day
 
 
 class TestPoolOwnership:
@@ -58,69 +44,69 @@ class TestPoolOwnership:
         shutdown_pool()  # earlier tests may have warmed the shared pool
         with ControlPlane() as plane:
             assert plane.pool is ControlPlane().pool  # one shared pool
-            assert not plane.pool.started  # lazy: no dispatch yet
+            assert not plane.pool.started  # lazy: no prefetch yet
 
-    def test_pool_survives_across_fabric_days(self, force_pools):
-        driver = PoolDriver()
-        with ControlPlane() as plane:
-            plane.register(driver)
+    def test_pool_survives_across_fabric_days(self):
+        with _streaming_plane() as plane:
             plane.run_days(1)
             generation = plane.pool.generation
+            pid = plane.pool.submit(_worker_pid, None).result()
             plane.run_days(1)
             assert plane.pool.generation == generation  # no restart
-            # Both days drew from one worker set: at most ``width``
-            # distinct PIDs ever existed, and never the parent's.
-            assert len(set(driver.pids)) <= plane.pool.width
-            assert os.getpid() not in set(driver.pids)
+            assert plane.pool.stats()["width"] == 1
+            # Both days drew from one worker, never the parent.
+            assert plane.pool.submit(_worker_pid, None).result() == pid
+            assert pid != os.getpid()
+            assert _source(plane).prefetch_hits >= 1
 
-    def test_close_stops_the_pool(self, force_pools):
-        plane = ControlPlane()
-        plane.register(PoolDriver())
+    def test_close_stops_the_pool(self):
+        plane = _streaming_plane()
         plane.run_days(1)
         assert plane.pool.started
         plane.close()
         assert not plane.pool.started
 
-    def test_context_manager_closes_on_exit(self, force_pools):
-        with ControlPlane() as plane:
-            plane.register(PoolDriver())
+    def test_context_manager_closes_on_exit(self):
+        with _streaming_plane() as plane:
             plane.run_days(1)
             assert plane.pool.started
         assert not plane.pool.started
 
 
 class TestCheckpointExclusion:
-    def test_checkpoint_bytes_never_mention_the_pool(self, force_pools):
-        plane = ControlPlane()
-        plane.register(PoolDriver())
+    def test_checkpoint_bytes_never_mention_the_pool(self):
+        plane = _streaming_plane()
         plane.run_days(1)
-        blob = checkpoint_bytes_v1(plane)  # would fail pickling an executor
+        assert _source(plane)._pending is not None  # day 1 in flight
+        blob = checkpoint_bytes_v1(plane)  # would fail pickling a Future
         assert b"WorkerPool" not in blob
+        assert b"Future" not in blob
         plane.close()
 
-    def test_restore_rearms_the_pool_lazily(self, force_pools):
-        plane = ControlPlane()
-        plane.register(PoolDriver())
+    def test_restore_rearms_the_pool_lazily(self):
+        plane = _streaming_plane()
         plane.run_days(1)
         blob = checkpoint_bytes_v1(plane)
-        plane.close()  # interrupted: workers are gone
+        plane.close()  # interrupted: the worker is gone
 
         restored = restore_v1(pickle.loads(blob))
         assert restored.pool is plane.pool  # same shared handle...
         assert not restored.pool.started  # ...cold after the interrupt
-        restored.run_days(1)  # first dispatch re-arms it
+        restored.run_days(1)  # the next prefetch re-arms it
         assert restored.pool.started
         restored.close()
 
-    def test_resumed_run_reports_byte_identical(self, force_pools):
-        straight = ControlPlane()
-        straight.register(PoolDriver())
-        straight.run_days(3)
-        expected = straight.report_bytes()
-        straight.close()
+    def test_resumed_run_reports_byte_identical(self):
+        with _streaming_plane(overlap=False) as serial:
+            serial.run_days(3)
+            expected = serial.report_bytes()
 
-        interrupted = ControlPlane()
-        interrupted.register(PoolDriver())
+        with _streaming_plane() as straight:
+            straight.run_days(3)
+            assert straight.report_bytes() == expected
+            assert _source(straight).prefetch_hits == 2
+
+        interrupted = _streaming_plane()
         interrupted.run_days(1)
         blob = checkpoint_bytes_v1(interrupted)
         interrupted.close()
@@ -132,11 +118,11 @@ class TestCheckpointExclusion:
 
 class TestSerialFabricStaysSerial:
     def test_pool_never_starts_without_force(self, monkeypatch):
-        # Under pytest, resolve_workers guards to serial: a whole fabric
-        # run must not start worker processes.
+        # Under pytest the auto prefetch mode stays off unless forced:
+        # a whole streaming fabric run must not start a worker process.
         monkeypatch.delenv(FORCE_ENV, raising=False)
         shutdown_pool()
-        with ControlPlane() as plane:
-            plane.register(PoolDriver())
+        with _streaming_plane(overlap=None) as plane:
             plane.run_days(2)
+            assert not _source(plane).overlap_enabled()
             assert not plane.pool.started

@@ -300,6 +300,42 @@ class TestFormatMigration:
         restored = CheckpointStore.load(tmp_path / "legacy.ckpt")
         assert restored.day == 1
 
+    def test_core_state_with_tuner_key_resumes_byte_identical(
+        self, tmp_path, monkeypatch
+    ):
+        # Chains written while a granularity tuner rode every core frame
+        # carry a "tuner" entry; load ignores it and resumes exactly.
+        from repro.fabric import FleetConfig, build_fleet
+
+        def fleet() -> ControlPlane:
+            plane = ControlPlane()
+            build_fleet(
+                plane, FleetConfig(days=3, include=("moneyball", "doppler"))
+            )
+            return plane
+
+        straight = fleet()
+        straight.run_days(3)
+        expected = straight.report_bytes()
+
+        core_state = CheckpointStore._core_state
+        legacy_tuner = {"alpha": 0.3, "overhead": 0.004, "profiles": {}}
+        monkeypatch.setattr(
+            CheckpointStore,
+            "_core_state",
+            staticmethod(lambda plane: {**core_state(plane), "tuner": legacy_tuner}),
+        )
+        interrupted = fleet()
+        interrupted.run_days(1)
+        CheckpointStore(tmp_path / "store").save(interrupted)
+        monkeypatch.undo()
+
+        frames = CheckpointStore(tmp_path / "store").frames()
+        assert b"tuner" in frames[-1]["core"]
+        restored = CheckpointStore.load(tmp_path / "store")
+        restored.run_days(2)
+        assert restored.report_bytes() == expected
+
 
 class TestPerTickChain:
     """A chain persisted after every tick restores at the day it holds."""

@@ -1,1 +1,1 @@
-"""Tests for the process-parallel fan-out substrate."""
+"""Tests for the next-day prefetch worker pool."""

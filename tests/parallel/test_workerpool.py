@@ -1,17 +1,10 @@
-"""Lifecycle tests for the persistent WorkerPool (lazy, warm, re-armed)."""
+"""Lifecycle tests for the single-worker WorkerPool (lazy, warm, re-armed)."""
 
 import os
 
 import pytest
 
-from repro.parallel import (
-    FORCE_ENV,
-    GranularityTuner,
-    WorkerPool,
-    get_pool,
-    pmap,
-    shutdown_pool,
-)
+from repro.parallel import WorkerPool, get_pool, shutdown_pool
 
 
 def _pid_of(_: object) -> int:
@@ -20,11 +13,6 @@ def _pid_of(_: object) -> int:
 
 def _double(x: int) -> int:
     return x * 2
-
-
-@pytest.fixture
-def force_pools(monkeypatch):
-    monkeypatch.setenv(FORCE_ENV, "1")
 
 
 @pytest.fixture
@@ -40,56 +28,31 @@ class TestLazyStart:
         assert pool.width == 0
         assert pool.generation == 0
 
-    def test_first_dispatch_starts_the_pool(self, pool, force_pools):
-        assert pmap(_double, [1, 2, 3, 4], workers=2, chunksize=1, pool=pool) == [
-            2,
-            4,
-            6,
-            8,
-        ]
+    def test_first_dispatch_starts_the_pool(self, pool):
+        assert pool.submit(_double, 21).result() == 42
         assert pool.started
-        assert pool.width == 2
+        assert pool.width == 1
         assert pool.generation == 1
         assert pool.spawn_seconds > 0.0
 
-    def test_serial_calls_never_start_the_pool(self, pool, monkeypatch):
-        # Without the force env, pytest resolves to serial: cold pool.
-        monkeypatch.delenv(FORCE_ENV, raising=False)
-        assert pmap(_double, list(range(8)), workers=4, pool=pool) == [
-            x * 2 for x in range(8)
-        ]
-        assert not pool.started
-
 
 class TestWarmReuse:
-    def test_dispatches_reuse_the_same_workers(self, pool, force_pools):
-        first = set(pmap(_pid_of, range(8), workers=2, chunksize=1, pool=pool))
-        second = set(pmap(_pid_of, range(8), workers=2, chunksize=1, pool=pool))
-        # Same pool, so across both dispatches at most ``width`` distinct
-        # worker processes ever existed (a fresh pool would double that).
-        assert len(first | second) <= pool.width
-        assert os.getpid() not in first | second
+    def test_dispatches_reuse_the_same_workers(self, pool):
+        pids = {pool.submit(_pid_of, k).result() for k in range(4)}
+        # One worker serves every submit, and it is never the parent.
+        assert len(pids) == 1
+        assert os.getpid() not in pids
         assert pool.generation == 1
-        assert pool.dispatches == 2
-        assert pool.items_dispatched == 16
-
-    def test_growing_restarts_wider_and_sticks(self, pool, force_pools):
-        pool.ensure(2)
-        assert (pool.width, pool.generation) == (2, 1)
-        pool.ensure(4)
-        assert (pool.width, pool.generation) == (4, 2)
-        # Asking for less never shrinks (high-water width persists).
-        pool.ensure(2)
-        assert (pool.width, pool.generation) == (4, 2)
+        assert pool.dispatches == 4
 
 
 class TestShutdown:
-    def test_shutdown_then_rearm(self, pool, force_pools):
-        pmap(_double, [1, 2], workers=2, chunksize=1, pool=pool)
+    def test_shutdown_then_rearm(self, pool):
+        pool.submit(_double, 1).result()
         pool.shutdown()
         assert not pool.started
-        # The next dispatch transparently re-arms a fresh pool.
-        assert pmap(_double, [3, 4], workers=2, chunksize=1, pool=pool) == [6, 8]
+        # The next submit transparently re-arms a fresh worker.
+        assert pool.submit(_double, 3).result() == 6
         assert pool.started
         assert pool.generation == 2
 
@@ -103,9 +66,9 @@ class TestSharedPool:
     def test_get_pool_returns_one_handle(self):
         assert get_pool() is get_pool()
 
-    def test_shutdown_pool_leaves_handle_reusable(self, force_pools):
+    def test_shutdown_pool_leaves_handle_reusable(self):
         shared = get_pool()
-        pmap(_double, [1, 2], workers=2, chunksize=1)
+        shared.submit(_double, 1).result()
         assert shared.started
         shutdown_pool()
         assert not shared.started
@@ -117,35 +80,29 @@ class TestSharedPool:
 
 
 class TestStats:
-    def test_stats_shape(self, pool, force_pools):
-        pmap(_double, [1, 2, 3], workers=2, chunksize=1, pool=pool)
-        stats = pool.stats()
-        assert stats["started"] is True
-        assert stats["width"] == 2
-        assert stats["generation"] == 1
-        assert stats["dispatches"] == 1
-        assert stats["items_dispatched"] == 3
-        assert stats["spawn_seconds"] > 0.0
+    def test_stats_shape(self, pool):
+        for x in (1, 2, 3):
+            pool.submit(_double, x).result()
+        assert pool.stats() == {
+            "started": True,
+            "width": 1,
+            "generation": 1,
+            "spawn_seconds": pool.spawn_seconds,
+            "dispatches": 3,
+        }
+        assert pool.spawn_seconds > 0.0
 
 
 class TestObsWiring:
-    def test_pool_lifecycle_events_land_in_obs(self, pool, force_pools):
+    def test_pool_lifecycle_events_land_in_obs(self, pool):
         from repro.obs import ObservabilityRuntime
 
         obs = ObservabilityRuntime()
         pool.bind(obs)
-        pmap(_double, [1, 2, 3, 4], workers=2, chunksize=1, pool=pool)
+        pool.submit(_double, 4).result()
         pool.shutdown()
         kinds = [e.kind for e in obs.events.events if e.layer == "parallel"]
         assert "pool_start" in kinds
         assert "pool_shutdown" in kinds
         names = [s.name for s in obs.tracer.spans]
-        assert "parallel.dispatch" in names
-
-    def test_fresh_tuner_keeps_dispatch_parallel(self, pool, force_pools):
-        # Explicit tuner injection: unknown functions explore in parallel.
-        tuner = GranularityTuner()
-        pids = pmap(
-            _pid_of, range(8), workers=2, pool=pool, tuner=tuner, chunksize=1
-        )
-        assert os.getpid() not in set(pids)
+        assert "parallel.submit" in names

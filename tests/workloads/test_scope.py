@@ -139,29 +139,3 @@ class TestCalibration:
                 if node.size >= 2:
                     owners.setdefault(sig, set()).add(job.job_id)
         assert any(len(group) >= 2 for group in owners.values())
-
-
-class TestShards:
-    def test_shards_partition_the_jobs(self, workload):
-        shards = workload.shards(n_shards=8)
-        assert len(shards) == 8
-        flat = [job.job_id for shard in shards for job in shard]
-        assert sorted(flat) == sorted(job.job_id for job in workload.jobs)
-
-    def test_sharding_is_deterministic(self, workload):
-        first = [[job.job_id for job in shard] for shard in workload.shards(8)]
-        second = [[job.job_id for job in shard] for shard in workload.shards(8)]
-        assert first == second
-
-    def test_recurring_instances_stay_together(self, workload):
-        # All instances of one template hash to one shard, so per-shard
-        # analyses see whole templates, never split ones.
-        shards = workload.shards(n_shards=8)
-        for template_id in range(5):
-            owners = {
-                index
-                for index, shard in enumerate(shards)
-                for job in shard
-                if job.template_id == template_id
-            }
-            assert len(owners) == 1

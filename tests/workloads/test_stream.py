@@ -103,8 +103,3 @@ class TestWorkloadViews:
         workload = ScopeWorkloadGenerator(rng=0).generate(n_days=3)
         assert workload.by_day(1) is workload.by_day(1)
         assert isinstance(workload.by_day(1), tuple)
-
-    def test_shards_are_memoized(self):
-        workload = ScopeWorkloadGenerator(rng=0).generate(n_days=3)
-        assert workload.shards(8) is workload.shards(8)
-        assert workload.shards(4) is not workload.shards(8)
