@@ -35,8 +35,8 @@ Benchmarks:
    driven uninstrumented vs bound to an :mod:`repro.obs` runtime
    (spans + event replay + store flush included): the overhead fraction
    must stay under 10%.
-7. **checkpoint_delta** — the fabric checkpoint write path: the full
-   ``@1`` single pickle vs an ``@2`` delta frame, measured every day of
+7. **checkpoint_delta** — the fabric checkpoint write path: a full
+   ``@2`` base snapshot vs an ``@2`` delta frame, measured every day of
    a steady-state fleet run with one explicit ``store.save`` per day.
    The final-day delta must be >= 5x smaller and faster to write.
 """
@@ -654,7 +654,7 @@ def measure_tracing_overhead(
 
 
 def measure_checkpoint_delta(run_days: int, profiler: SectionProfiler) -> dict:
-    """Full ``@1`` pickle vs ``@2`` delta frame on the standard fleet.
+    """Full ``@2`` base snapshot vs ``@2`` delta frame on the standard fleet.
 
     The bench world is the standard ``FleetConfig(days=7)`` fleet run
     for ``run_days`` days with one explicit ``store.save(plane)`` per
@@ -664,7 +664,8 @@ def measure_checkpoint_delta(run_days: int, profiler: SectionProfiler) -> dict:
     the 7-day workload horizon has passed, most drivers stop mutating:
     the delta frame carries only the genuinely dirty services, with
     references into their declared ``frozen_attrs`` input worlds
-    replaced by symbolic tokens, while the ``@1`` snapshot re-pickles
+    replaced by symbolic tokens, while a base snapshot
+    (:meth:`CheckpointStore.snapshot`, into a second store) re-pickles
     the whole fleet every day.  Size ratios use the final day's frames;
     time ratios use the minimum over the steady-state tail (scheduler
     jitter on a shared machine would make one-sample timings theater).
@@ -679,31 +680,30 @@ def measure_checkpoint_delta(run_days: int, profiler: SectionProfiler) -> dict:
         FleetConfig,
         build_fleet,
     )
-    from repro.fabric.store import checkpoint_bytes_v1
-
     plane = ControlPlane()
     build_fleet(plane, FleetConfig(days=7))
     workdir = Path(tempfile.mkdtemp(prefix="bench_ckpt_"))
     store = CheckpointStore(workdir / "store")
+    snapshots = CheckpointStore(workdir / "snapshots")
     days: list[dict] = []
     try:
         for _ in range(run_days):
             plane.run_days(1)
-            # Full @1 first: it reads dirty flags without clearing them,
-            # so the @2 save that follows sees the same day's changes.
-            with profiler.section("checkpoint_delta/full_v1"):
-                clock = Stopwatch().start()
-                full_blob = checkpoint_bytes_v1(plane)
-                full_s = clock.stop()
+            # The chain's save first: a snapshot clears the dirty flags
+            # the delta reads, but writes every service regardless.
             with profiler.section("checkpoint_delta/delta_v2"):
                 clock = Stopwatch().start()
                 result = store.save(plane)
                 delta_s = clock.stop()
+            with profiler.section("checkpoint_delta/snapshot_v2"):
+                clock = Stopwatch().start()
+                full = snapshots.snapshot(plane)
+                full_s = clock.stop()
             days.append(
                 {
                     "day": plane.day,
                     "kind": result.kind,
-                    "full_bytes": len(full_blob),
+                    "full_bytes": full.bytes_written,
                     "full_seconds": full_s,
                     "delta_bytes": result.bytes_written,
                     "delta_seconds": delta_s,

@@ -14,9 +14,10 @@ data path holds up at that scale and writes the numbers to
    baseline (80k jobs/s generate + 32k jobs/s batchify, i.e. ~22.9k
    jobs/s end to end) at the largest scale, and the columnar append
    must sustain >= 500k jobs/sec.
-2. **stream_vs_eager** — `stream_days()` must replay the eager
-   generator job-for-job at the same seed (the tentpole equivalence
-   gate, also pinned in tests/workloads/test_stream.py).
+2. **stream_vs_eager** — day-at-a-time ``day_jobs`` (the per-job
+   oracle ``day_batch`` is pinned against) must replay the eager
+   generator job-for-job at the same seed (also pinned in
+   tests/workloads/test_stream.py).
 3. **scale_ticks** — the peregrine pipeline loop (fused-generate the
    day, batch-ingest, re-analyze) day after day at 100k jobs/day under
    a 256 MB chunk budget with disk spill, recording a per-day stage
@@ -207,12 +208,9 @@ def bench_stream_vs_eager(n_days: int = 3) -> dict:
     eager = ScopeWorkloadGenerator(rng=17, config=config).generate(
         n_days=n_days
     )
+    streaming = ScopeWorkloadGenerator(rng=17, config=config)
     streamed = [
-        job
-        for day in ScopeWorkloadGenerator(rng=17, config=config).stream_days(
-            n_days
-        )
-        for job in day
+        job for day in range(n_days) for job in streaming.day_jobs(day)
     ]
     return {
         "n_days": n_days,
@@ -384,23 +382,15 @@ def bench_tick_1m(n_days: int = 3, jobs_per_day: int = 1_000_000) -> dict:
                 )
             wall_seconds = time.perf_counter() - t_start
             source = next(
-                (
-                    b.driver.jobs_by_day
-                    for b in plane.bindings
-                    if hasattr(b.driver, "jobs_by_day")
-                    and hasattr(b.driver.jobs_by_day, "prefetch_hits")
-                ),
-                None,
+                b.driver.jobs_by_day
+                for b in plane.bindings
+                if b.name == "peregrine"
             )
-            prefetch = (
-                {
-                    "overlap_enabled": source.overlap_enabled(),
-                    "prefetch_hits": source.prefetch_hits,
-                    "prefetch_misses": source.prefetch_misses,
-                }
-                if source is not None
-                else None
-            )
+            prefetch = {
+                "overlap_enabled": source.overlap_enabled(),
+                "prefetch_hits": source.prefetch_hits,
+                "prefetch_misses": source.prefetch_misses,
+            }
     baseline_at = max(0, len(days) - 2)
     baseline = days[baseline_at]["rss_mb"]
     final = days[-1]["rss_mb"]
@@ -515,11 +505,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     if not args.quick:
         tick1m = results["tick_1m"]
-        hits = (
-            f" {tick1m['prefetch']['prefetch_hits']} prefetch hits;"
-            if tick1m["prefetch"]
-            else ""
-        )
+        hits = f" {tick1m['prefetch']['prefetch_hits']} prefetch hits;"
         print(
             f"{'tick_1m':<18} {tick1m['jobs_per_day']:,} jobs/day x"
             f" {tick1m['n_days']} days in {tick1m['wall_seconds']:.0f}s"

@@ -34,6 +34,7 @@ exits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import TYPE_CHECKING
 
@@ -302,6 +303,16 @@ def _cmd_trace(args: argparse.Namespace, obs: "ObservabilityRuntime") -> int:
 
 def _cmd_fabric(args: argparse.Namespace, obs: "ObservabilityRuntime") -> int:
     """Run the whole fleet on the control plane (or resume a checkpoint)."""
+    with contextlib.ExitStack() as scope:
+        return _run_fabric(args, obs, scope)
+
+
+def _run_fabric(
+    args: argparse.Namespace,
+    obs: "ObservabilityRuntime",
+    scope: contextlib.ExitStack,
+) -> int:
+    """The fabric command; ``scope`` removes its scratch spill dir on exit."""
     from repro.fabric import (
         CORE_FLEET,
         FULL_FLEET,
@@ -313,7 +324,6 @@ def _cmd_fabric(args: argparse.Namespace, obs: "ObservabilityRuntime") -> int:
     )
     from repro.fabric.faults import parse_fault_specs
 
-    scratch_spill_dir = None
     if args.resume:
         plane = ControlPlane.restore(args.resume, obs=obs)
         if args.store:
@@ -353,23 +363,26 @@ def _cmd_fabric(args: argparse.Namespace, obs: "ObservabilityRuntime") -> int:
             repo_memory_budget_mb=args.memory_budget_mb,
             repo_spill_dir=args.spill_dir,
         )
-        if config.resolve_streaming() and config.repo_spill_dir is None:
-            # Streaming scale needs somewhere to spill cold day chunks:
-            # colocate with the store if one is attached, else scratch.
-            import tempfile
+        if config.repo_spill_dir is None:
+            # Cold day chunks (and every checkpoint's chunk manifest)
+            # need a directory that outlives the run whenever the run
+            # persists state: colocate with the store, else beside the
+            # checkpoint; only a run that persists nothing spills to
+            # scratch.
             from pathlib import Path
 
             if args.store:
                 config.repo_spill_dir = str(
                     Path(args.store) / "peregrine-chunks"
                 )
+            elif args.checkpoint:
+                config.repo_spill_dir = f"{Path(args.checkpoint)}.peregrine-chunks"
             else:
-                config.repo_spill_dir = tempfile.mkdtemp(
-                    prefix="repro-chunks-"
+                import tempfile
+
+                config.repo_spill_dir = scope.enter_context(
+                    tempfile.TemporaryDirectory(prefix="repro-chunks-")
                 )
-                scratch_spill_dir = config.repo_spill_dir
-            if config.repo_memory_budget_mb is None:
-                config.repo_memory_budget_mb = 256
         build_fleet(plane, config)
         if args.list:
             print(f"{'service':<12} {'layer':<8} {'cadence':>8}  stages")
@@ -428,10 +441,6 @@ def _cmd_fabric(args: argparse.Namespace, obs: "ObservabilityRuntime") -> int:
                 f" ({cs['spills']} spills, {cs['loads']} loads)"
             )
     plane.close()
-    if scratch_spill_dir is not None:
-        import shutil
-
-        shutil.rmtree(scratch_spill_dir, ignore_errors=True)
     return 0
 
 
@@ -639,15 +648,16 @@ def build_parser() -> argparse.ArgumentParser:
     fabric.add_argument("--seed", type=int, default=0)
     fabric.add_argument(
         "--jobs-per-day", type=int, default=8,
-        help="SCOPE jobs per day; >= 1000 switches to streaming worlds",
+        help="SCOPE jobs per day (steering and CloudViews see at most 64)",
     )
     fabric.add_argument(
-        "--memory-budget-mb", type=int, default=None,
-        help="repository chunk-cache budget (streaming default: 256)",
+        "--memory-budget-mb", type=int, default=256,
+        help="repository chunk-cache budget",
     )
     fabric.add_argument(
         "--spill-dir", default=None,
-        help="directory for cold day chunks (default: store dir or scratch)",
+        help="directory for cold day chunks (default: beside --store or"
+        " --checkpoint, else scratch)",
     )
     fabric.add_argument(
         "--full", action="store_true",

@@ -44,7 +44,7 @@ from repro.fabric.store import (
     ScheduleRecord,
 )
 from repro.fabric.streams import (
-    STREAMING_THRESHOLD,
+    PREFETCH_MIN_JOBS_PER_DAY,
     JobPairsView,
     StreamingJobSource,
 )
@@ -79,5 +79,5 @@ __all__ = [
     "build_fleet",
     "StreamingJobSource",
     "JobPairsView",
-    "STREAMING_THRESHOLD",
+    "PREFETCH_MIN_JOBS_PER_DAY",
 ]

@@ -172,10 +172,6 @@ class PeregrineDriver(PipelineDriver):
     dirty_aware = True
     frozen_attrs = ("jobs_by_day",)
 
-    #: day sizes at/above which ingestion goes through the columnar
-    #: batch path (identical results, ~50x the per-job throughput).
-    BATCH_THRESHOLD = 256
-
     def __init__(
         self,
         jobs_by_day,
@@ -184,6 +180,7 @@ class PeregrineDriver(PipelineDriver):
     ) -> None:
         from repro.core.peregrine import WorkloadRepository
 
+        #: the fleet's :class:`~repro.fabric.streams.StreamingJobSource`
         self.jobs_by_day = jobs_by_day
         self.repo = WorkloadRepository(
             memory_budget_bytes=(
@@ -193,26 +190,24 @@ class PeregrineDriver(PipelineDriver):
         )
         self.stats: dict = {}
 
+    def __setstate__(self, state: dict) -> None:
+        if isinstance(state.get("jobs_by_day"), dict):
+            raise ValueError(
+                "checkpoint holds a Peregrine driver fed by a per-day job"
+                " dict, written by the removed eager fleet wiring; fleets"
+                " now stream whole days, so rebuild the fleet and rerun"
+                " instead of resuming this chain"
+            )
+        self.__dict__.update(state)
+
     def observe(self, ctx: TickContext) -> None:
-        day_batch = getattr(self.jobs_by_day, "day_batch", None)
-        if day_batch is not None:
-            # Streaming source: the day arrives as one fused columnar
-            # batch (possibly prefetched on the worker pool while the
-            # previous day's services ran) — no per-job list, and
-            # bit-identical to the record-path ingest.
-            batch = day_batch(ctx.day)
-            if batch is not None and len(batch):
-                self.mark_dirty()
-                self.repo.ingest_batch(batch)
-            return
-        jobs = self.jobs_by_day.get(ctx.day, [])
-        if jobs:
+        # The day arrives as one fused columnar batch (possibly
+        # prefetched on the worker pool while the previous day's
+        # services ran): the repository ingests the whole day.
+        batch = self.jobs_by_day.day_batch(ctx.day)
+        if batch is not None and len(batch):
             self.mark_dirty()
-        if len(jobs) >= self.BATCH_THRESHOLD:
-            self.repo.ingest_batch(list(jobs))
-            return
-        for job in jobs:
-            self.repo.ingest_job(job)
+            self.repo.ingest_batch(batch)
 
     def learn(self, ctx: TickContext) -> None:
         from repro.core.peregrine import analyze
@@ -722,11 +717,14 @@ class FleetConfig:
     autotune_apps: int = 16
     joint_jobs: int = 3
     feedback_steps_per_day: int = 40
-    #: None = stream iff jobs_per_day >= STREAMING_THRESHOLD.
+    #: Accepted only as ``None``/``True``: every fleet streams.  Kept
+    #: for callers that still pass ``streaming=True``; to be removed
+    #: with the next benchmark change.
     streaming: bool | None = None
-    #: head of each day the plan-facing services sample when streaming.
+    #: Cap on the head of each day the plan-facing services sample
+    #: (the head is ``min(jobs_per_day, service_jobs_per_day)``).
     service_jobs_per_day: int = 64
-    #: repository memory budget + spill target (streaming scale only).
+    #: repository memory budget + spill target.
     repo_memory_budget_mb: int | None = None
     repo_spill_dir: str | None = None
     #: None = prefetch day d+1 on the worker pool iff it can overlap
@@ -737,26 +735,74 @@ class FleetConfig:
         unknown = set(self.include) - set(FULL_FLEET)
         if unknown:
             raise ValueError(f"unknown fleet services: {sorted(unknown)}")
+        if self.streaming is False:
+            raise ValueError(
+                "streaming=False is gone: every fleet streams its days"
+            )
 
-    def resolve_streaming(self) -> bool:
-        from repro.fabric.streams import STREAMING_THRESHOLD
-
-        if self.streaming is not None:
-            return self.streaming
-        return self.jobs_per_day >= STREAMING_THRESHOLD
+    @property
+    def service_head(self) -> int:
+        """Jobs per day the plan-facing services (steering, CloudViews) see."""
+        return min(self.jobs_per_day, self.service_jobs_per_day)
 
 
 def build_fleet(plane, config: FleetConfig | None = None):
     """Register the standard multi-service scenario onto ``plane``.
 
-    Builds the shared worlds (SCOPE workload, usage population,
+    Builds the shared worlds (SCOPE job stream, usage population,
     customer population) once, slices them into daily arrivals, and
     registers one driver per included service.  Returns the plane.
     """
     config = config or FleetConfig()
     include = set(config.include)
 
-    if include & {"steering", "cloudviews", "peregrine", "joint"}:
+    if include & {"steering", "cloudviews", "peregrine"}:
+        from repro.engine import (
+            DefaultCardinalityEstimator,
+            DefaultCostModel,
+            Optimizer,
+            TrueCardinalityModel,
+        )
+        from repro.fabric.streams import StreamingJobSource
+
+        # Days come off the seeded stream as the plane ticks; nothing
+        # beyond the current day is ever materialized.  Plan-facing
+        # services sample each day's head; the repository ingests the
+        # full day columnar.
+        source = StreamingJobSource(
+            config.seed,
+            config.days,
+            config.jobs_per_day,
+            overlap=config.overlap_prefetch,
+        )
+        catalog = source.catalog
+        job_pairs = source.pairs(config.service_head)
+        truth = TrueCardinalityModel(catalog, seed=config.seed)
+        if "steering" in include:
+            plane.register(
+                SteeringDriver(
+                    job_pairs,
+                    Optimizer(catalog),
+                    TrueCostFn(DefaultCostModel(catalog, truth)),
+                    seed=config.seed,
+                )
+            )
+        if "cloudviews" in include:
+            est_cost = DefaultCostModel(
+                catalog, DefaultCardinalityEstimator(catalog)
+            )
+            plane.register(CloudViewsDriver(catalog, est_cost, truth, job_pairs))
+        if "peregrine" in include:
+            plane.register(
+                PeregrineDriver(
+                    source,
+                    memory_budget_mb=config.repo_memory_budget_mb,
+                    spill_dir=config.repo_spill_dir,
+                )
+            )
+
+    if "joint" in include:
+        from repro.core.joint import ParameterGrid, checkpoint_wave_objective
         from repro.engine import (
             DefaultCardinalityEstimator,
             DefaultCostModel,
@@ -765,113 +811,35 @@ def build_fleet(plane, config: FleetConfig | None = None):
         )
         from repro.workloads import ScopeWorkloadGenerator
 
-        streaming = config.resolve_streaming()
-        if streaming:
-            # Million-job worlds: days come off the seeded stream as
-            # the plane ticks; nothing beyond the current day is ever
-            # materialized.  Plan-facing services sample each day's
-            # head; the repository ingests the full stream columnar.
-            from repro.fabric.streams import StreamingJobSource
-
-            source = StreamingJobSource(
-                config.seed,
-                config.days,
-                config.jobs_per_day,
-                overlap=config.overlap_prefetch,
-            )
-            catalog = source.catalog
-            job_pairs = source.pairs(config.service_jobs_per_day)
-            jobs_by_day = source
-            workload = None
-        else:
-            workload = ScopeWorkloadGenerator(rng=config.seed).generate(
-                n_days=config.days
-            )
-            catalog = workload.catalog
-            job_pairs = {
-                day: [
-                    (j.job_id, j.plan)
-                    for j in workload.by_day(day)[: config.jobs_per_day]
-                ]
-                for day in range(config.days)
-            }
-            jobs_by_day = {
-                day: list(workload.by_day(day)[: config.jobs_per_day])
-                for day in range(config.days)
-            }
-        truth = TrueCardinalityModel(catalog, seed=config.seed)
-        est_cost = DefaultCostModel(
-            catalog, DefaultCardinalityEstimator(catalog)
+        # Joint tuning replays whole jobs against a workload object, so
+        # it gets its own small default world (own catalog: its plans
+        # reference its fragments).
+        workload = ScopeWorkloadGenerator(rng=config.seed).generate(
+            n_days=min(config.days, 7)
         )
-        true_cost = DefaultCostModel(catalog, truth)
-        if "steering" in include:
-            plane.register(
-                SteeringDriver(
-                    job_pairs,
-                    Optimizer(catalog),
-                    TrueCostFn(true_cost),
-                    seed=config.seed,
-                )
+        world_catalog = workload.catalog
+        world = {
+            "workload": workload,
+            "est_cost": DefaultCostModel(
+                world_catalog, DefaultCardinalityEstimator(world_catalog)
+            ),
+            "true_cost": DefaultCostModel(
+                world_catalog,
+                TrueCardinalityModel(world_catalog, seed=config.seed),
+            ),
+            "optimizer": Optimizer(world_catalog),
+        }
+        plane.register(
+            JointTuningDriver(
+                checkpoint_wave_objective(world, n_jobs=config.joint_jobs),
+                ParameterGrid(
+                    {
+                        "max_stage_seconds": (60.0, 30.0, 120.0),
+                        "budget_fraction": (0.1, 0.3, 0.6),
+                    }
+                ),
             )
-        if "cloudviews" in include:
-            plane.register(
-                CloudViewsDriver(
-                    catalog,
-                    est_cost,
-                    truth,
-                    job_pairs,
-                )
-            )
-        if "peregrine" in include:
-            plane.register(
-                PeregrineDriver(
-                    jobs_by_day,
-                    memory_budget_mb=config.repo_memory_budget_mb,
-                    spill_dir=config.repo_spill_dir,
-                )
-            )
-        if "joint" in include:
-            from repro.core.joint import ParameterGrid, checkpoint_wave_objective
-
-            if workload is None:
-                # Joint tuning needs an eager workload object; at
-                # streaming scale it gets its own small default world
-                # (own catalog — its plans reference its fragments).
-                workload = ScopeWorkloadGenerator(rng=config.seed).generate(
-                    n_days=min(config.days, 7)
-                )
-                joint_truth = TrueCardinalityModel(
-                    workload.catalog, seed=config.seed
-                )
-                world = {
-                    "workload": workload,
-                    "est_cost": DefaultCostModel(
-                        workload.catalog,
-                        DefaultCardinalityEstimator(workload.catalog),
-                    ),
-                    "true_cost": DefaultCostModel(
-                        workload.catalog, joint_truth
-                    ),
-                    "optimizer": Optimizer(workload.catalog),
-                }
-            else:
-                world = {
-                    "workload": workload,
-                    "est_cost": est_cost,
-                    "true_cost": true_cost,
-                    "optimizer": Optimizer(catalog),
-                }
-            plane.register(
-                JointTuningDriver(
-                    checkpoint_wave_objective(world, n_jobs=config.joint_jobs),
-                    ParameterGrid(
-                        {
-                            "max_stage_seconds": (60.0, 30.0, 120.0),
-                            "budget_fraction": (0.1, 0.3, 0.6),
-                        }
-                    ),
-                )
-            )
+        )
 
     if include & {"moneyball", "seagull"}:
         from repro.workloads import UsagePopulationConfig, generate_population

@@ -509,11 +509,11 @@ class ControlPlane:
                 self.day = target
         self._store.save(self)
 
-    def checkpoint(self, path, version: int = 2) -> None:
+    def checkpoint(self, path) -> None:
         """Snapshot fabric state to ``path`` (see :mod:`repro.fabric.store`)."""
         from repro.fabric.store import CheckpointStore
 
-        CheckpointStore(path, version=version).save(self)
+        CheckpointStore(path).save(self)
 
     @classmethod
     def restore(cls, path, obs: "ObservabilityRuntime | None" = None) -> "ControlPlane":

@@ -14,11 +14,12 @@ self-rescheduling pattern: each run persists its own next-run/retry
 state instead of trusting an in-memory scheduler).
 
 **Checkpoint store.**  :class:`CheckpointStore` is the one checkpoint
-API.  It writes either of two formats and reads both:
+API.  It writes one format and reads two:
 
 - ``repro.fabric/checkpoint@1`` — the legacy single-pickle full
-  snapshot (see DESIGN.md §6).  Still readable forever; written when
-  the store is constructed with ``version=1``.
+  snapshot (see DESIGN.md §6).  Read-only: :meth:`CheckpointStore.load`
+  migrates it through :func:`restore_v1`, and a resumed run saves
+  ``@2``.
 - ``repro.fabric/checkpoint@2`` — a **base snapshot plus an
   append-only chain of deltas**.  Each :meth:`CheckpointStore.save`
   appends one frame containing the always-changing core state
@@ -57,9 +58,9 @@ if TYPE_CHECKING:
     from repro.fabric.plane import ControlPlane
     from repro.obs.runtime import ObservabilityRuntime
 
-#: Legacy full-pickle format tag (still written with ``version=1``).
+#: Legacy full-pickle format tag (read-only: loaded, never written).
 FORMAT_V1 = "repro.fabric/checkpoint@1"
-#: Base + append-only delta chain (the default).
+#: Base + append-only delta chain (the one format written).
 FORMAT_V2 = "repro.fabric/checkpoint@2"
 #: Chain file name used when the store is given a directory.
 CHAIN_FILENAME = "fabric.ckpt"
@@ -257,7 +258,7 @@ def _blob_hash(blob: bytes) -> str:
 class SaveResult:
     """What one :meth:`CheckpointStore.save` wrote."""
 
-    kind: str  # "full" (@1) | "base" | "delta"
+    kind: str  # "base" | "delta"
     path: Path
     bytes_written: int
     saved: list[str] = field(default_factory=list)
@@ -265,21 +266,17 @@ class SaveResult:
 
 
 class CheckpointStore:
-    """Save/load fabric checkpoints with format-version negotiation.
+    """Save/load fabric checkpoints.
 
     ``CheckpointStore(path)`` writes the ``@2`` base+delta chain (the
-    first :meth:`save` writes the base, later saves append deltas);
-    ``CheckpointStore(path, version=1)`` writes the legacy ``@1`` full
-    pickle.  :meth:`load` reads either format from a file or a store
-    directory.  ``path`` may be a directory (the chain lives at
-    ``<path>/fabric.ckpt`` with ``schedule.json`` beside it) or a file
-    (the sidecar gains a ``.schedule.json`` suffix).
+    first :meth:`save` writes the base, later saves append deltas).
+    :meth:`load` reads ``@2`` chains and legacy ``@1`` full pickles
+    from a file or a store directory.  ``path`` may be a directory (the
+    chain lives at ``<path>/fabric.ckpt`` with ``schedule.json`` beside
+    it) or a file (the sidecar gains a ``.schedule.json`` suffix).
     """
 
-    def __init__(self, path, version: int = 2) -> None:
-        if version not in (1, 2):
-            raise ValueError(f"unknown checkpoint version {version!r}")
-        self.version = version
+    def __init__(self, path) -> None:
         self.path = self._resolve(Path(path))
         self._seq = 0
         self._has_base = False
@@ -307,7 +304,7 @@ class CheckpointStore:
         try:
             frames = self.frames()
         except (pickle.UnpicklingError, EOFError, ValueError):
-            return  # a @1 file or corrupt chain: save() will refuse below
+            return  # a @1 file or corrupt chain: save() writes a fresh base
         for frame in frames:
             self._seq = frame["seq"] + 1
             if frame["kind"] == "base":
@@ -339,9 +336,7 @@ class CheckpointStore:
 
     # -- saving ------------------------------------------------------------------
     def save(self, plane: "ControlPlane") -> SaveResult:
-        """Persist ``plane``: @1 full pickle, or @2 base-then-deltas."""
-        if self.version == 1:
-            return self._save_v1(plane)
+        """Persist ``plane``: a base frame first, then deltas."""
         if not self._has_base:
             return self.snapshot(plane)
         return self.delta(plane)
@@ -352,8 +347,6 @@ class CheckpointStore:
 
     def delta(self, plane: "ControlPlane") -> SaveResult:
         """Append a delta frame holding only the changed services."""
-        if self.version == 1:
-            raise ValueError("@1 checkpoints are full pickles; deltas need version=2")
         if not self._has_base:
             raise ValueError(
                 "no base snapshot in the chain yet: call save() or snapshot() first"
@@ -447,21 +440,9 @@ class CheckpointStore:
             clean=sorted(clean),
         )
 
-    def _save_v1(self, plane: "ControlPlane") -> SaveResult:
-        data = checkpoint_bytes_v1(plane)
-        self.path.write_bytes(data)
-        self._write_schedule(plane)
-        self._emit_saved(plane, "full", len(data), [b.name for b in plane.bindings], [])
-        return SaveResult(
-            kind="full",
-            path=self.path,
-            bytes_written=len(data),
-            saved=sorted(b.name for b in plane.bindings),
-        )
-
     def _write_schedule(self, plane: "ControlPlane") -> None:
         payload = {
-            "format": FORMAT_V2 if self.version == 2 else FORMAT_V1,
+            "format": FORMAT_V2,
             "day": plane.day,
             "now": plane.queue.now,
             "services": [b.record.to_dict() for b in plane.bindings],
@@ -625,44 +606,8 @@ def _plane_from_core(core: dict) -> "ControlPlane":
 
 
 # ---------------------------------------------------------------------------
-# the @1 format (kept bit-compatible with the original module functions)
+# the @1 format (read-only: loaded and migrated, never written)
 # ---------------------------------------------------------------------------
-
-
-def checkpoint_bytes_v1(plane: "ControlPlane") -> bytes:
-    """Serialize ``plane`` to a @1 single-pickle snapshot."""
-    obs = plane._obs
-    plane.bind(None)
-    try:
-        state = {
-            "day": plane.day,
-            "now": plane.queue.now,
-            "registry": plane.registry,
-            "lifecycle": plane.lifecycle,
-            "retry": plane.retry,
-            "injector": plane.injector,
-            "health": plane.health,
-            "mirrored": plane._lifecycle_mirrored,
-            "total_ticks": plane.total_ticks,
-            "bindings": [
-                {
-                    "name": b.name,
-                    "cadence_days": b.cadence_days,
-                    "next_due": b.next_due,
-                    "ticks": b.ticks,
-                    "paused": b.record.paused,
-                    "retry_state": (
-                        b.record.retry.to_dict() if b.record.retry else None
-                    ),
-                    "max_attempts": b.record.max_attempts,
-                    "driver": b.driver,
-                }
-                for b in plane.bindings
-            ],
-        }
-        return pickle.dumps({"format": FORMAT_V1, "state": state}, protocol=4)
-    finally:
-        plane.bind(obs)
 
 
 def restore_v1(payload: dict) -> "ControlPlane":

@@ -1,22 +1,16 @@
 """Streaming job sources: million-job worlds without the world in RAM.
 
-The legacy fleet wiring materializes a full :class:`Workload` and
-slices it into ``jobs_by_day`` dicts.  At 100k+ jobs per day that is
-gigabytes of :class:`~repro.workloads.scope.Job` objects pinned for the
-whole run.  :class:`StreamingJobSource` replaces the dicts with a
-day-addressable view over the seeded generator: a tick generates its
-day on demand (bit-identical to the eager generator at the same seed),
-every driver on the plane shares the one-day cache, and the previous
-day's data is garbage the moment the tick moves on.
-
-Two generation paths share the cache:
-
-- :meth:`StreamingJobSource.day_batch` — the fused columnar path
-  (:meth:`ScopeWorkloadGenerator.day_batch`): one day straight into
-  :class:`~repro.core.peregrine.repository.JobBatch` columns, never a
-  million-element job list.  This is what the fleet consumes.
-- :meth:`StreamingJobSource.day_jobs` — the legacy per-job list, kept
-  for callers that want :class:`Job` objects.
+:class:`StreamingJobSource` is the one way a fleet gets SCOPE jobs: a
+day-addressable view over the seeded generator.  A tick generates its
+day on demand as one fused columnar batch
+(:meth:`ScopeWorkloadGenerator.day_batch`, straight into
+:class:`~repro.core.peregrine.repository.JobBatch` columns, never a
+per-job list), every driver on the plane shares the one-day cache, and
+the previous day's data is garbage the moment the tick moves on.
+Peregrine ingests the whole batch; :meth:`StreamingJobSource.pairs`
+wraps it as the head-limited ``(job_id, plan)`` view the plan-facing
+services (steering, CloudViews) consume, reading straight off the
+batch columns.
 
 When overlap is enabled, accessing day ``d`` also submits day ``d+1``'s
 generation to the fabric's one-worker :class:`~repro.parallel.WorkerPool`:
@@ -25,12 +19,6 @@ the parent hands it, so the prefetched batch is bit-identical to a
 local build, and the returned day-``d+2`` RNG state keeps the parent's
 replay chain seamless.  Futures are process-local and never pickled —
 a checkpoint restored mid-overlap simply regenerates locally.
-
-The source quacks like the dict the drivers already consume
-(``.get(day, default)``), so :class:`SteeringDriver`,
-:class:`CloudViewsDriver`, and :class:`PeregrineDriver` work unchanged;
-:meth:`pairs` wraps it as the head-limited ``(job_id, plan)`` view the
-plan-facing services expect (reading straight off the batch columns).
 """
 
 from __future__ import annotations
@@ -39,18 +27,14 @@ import os
 from typing import TYPE_CHECKING
 
 from repro.parallel import FORCE_ENV, get_pool
-from repro.workloads.scope import (
-    Job,
-    ScopeWorkloadConfig,
-    ScopeWorkloadGenerator,
-)
+from repro.workloads.scope import ScopeWorkloadConfig, ScopeWorkloadGenerator
 
 if TYPE_CHECKING:
     from repro.core.peregrine.repository import JobBatch
 
-#: jobs/day at or above which :func:`repro.fabric.fleet.build_fleet`
-#: switches from eager worlds to streaming sources.
-STREAMING_THRESHOLD = 1000
+#: jobs/day below which auto mode never prefetches: a small day builds
+#: faster locally than a worker round trip returns it.
+PREFETCH_MIN_JOBS_PER_DAY = 1000
 
 #: Worker-process generator cache: one generator per world identity,
 #: reused across prefetch tasks so catalog/template construction and
@@ -87,17 +71,18 @@ class StreamingJobSource:
     Days are generated on first access and cached until a different day
     is requested (capacity-1 cache: every driver ticks the same day, so
     one generation serves the whole fleet).  Days outside ``[0, days)``
-    return the default, mirroring the legacy per-day dict.  Pickles
+    have no batch.  Pickles
     carry the generator (catalog + RNG day states, a few MB) but never
     cached days or in-flight prefetch futures, so checkpoints stay
     manifest-sized and a resumed source replays deterministically.
 
     ``overlap`` controls next-day prefetch on the shared worker pool:
     ``True``/``False`` force it, ``None`` (default) enables it only
-    when more than one CPU is available and the run is not under
-    pytest without ``REPRO_PARALLEL_FORCE`` (so single-core boxes and
-    test runs never pay pool startup for a prefetch that can't overlap
-    anything).
+    for days of at least :data:`PREFETCH_MIN_JOBS_PER_DAY` jobs, when
+    more than one CPU is available, and when the run is not under
+    pytest without ``REPRO_PARALLEL_FORCE`` (so small days, single-core
+    boxes and test runs never pay pool startup for a prefetch that
+    can't win anything).
     """
 
     def __init__(
@@ -118,7 +103,6 @@ class StreamingJobSource:
         self._generator = ScopeWorkloadGenerator(
             rng=seed, config=self.config
         )
-        self._cache: tuple[int, list[Job]] | None = None
         self._batch_cache: tuple[int, "JobBatch"] | None = None
         self._pending: tuple[int, object] | None = None  # (day, Future)
         self.prefetch_hits = 0
@@ -137,6 +121,8 @@ class StreamingJobSource:
     def overlap_enabled(self) -> bool:
         if self.overlap is not None:
             return self.overlap
+        if self.jobs_per_day < PREFETCH_MIN_JOBS_PER_DAY:
+            return False
         if (os.cpu_count() or 1) <= 1:
             return False
         return "PYTEST_CURRENT_TEST" not in os.environ or bool(
@@ -197,25 +183,11 @@ class StreamingJobSource:
         self._maybe_prefetch(day + 1)
         return batch
 
-    def day_jobs(self, day: int) -> list[Job]:
-        if self._cache is not None and self._cache[0] == day:
-            return self._cache[1]
-        jobs = self._generator.day_jobs(day)
-        self._cache = (day, jobs)
-        return jobs
-
-    def get(self, day: int, default=None) -> list[Job]:
-        """Dict-style access: the day's jobs, or ``default`` off-range."""
-        if not 0 <= day < self.days:
-            return default
-        return self.day_jobs(day)
-
     def pairs(self, head: int | None = None) -> "JobPairsView":
         return JobPairsView(self, head)
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state["_cache"] = None
         state["_batch_cache"] = None
         state["_pending"] = None
         return state
@@ -225,8 +197,8 @@ class JobPairsView:
     """``(job_id, plan)`` pairs per day, optionally head-limited.
 
     The plan-facing services (steering, CloudViews) optimize every plan
-    they see, so at streaming scale they sample the first ``head`` jobs
-    of each day — the repository still ingests the full stream.  Pairs
+    they see, so they sample the first ``head`` jobs of each day — the
+    repository still ingests the full stream.  Pairs
     are read straight off the shared day batch's columns: plan trees
     are built only for the head, once per plan code, and every reader
     of the day gets the same objects (:meth:`JobBatch.plan`), so the

@@ -1,6 +1,6 @@
 """The fabric's one-worker process pool for next-day prefetch.
 
-A streaming fleet generates each simulated day from its seed.  While
+Every fleet generates each simulated day from its seed.  While
 the services consume day ``d``, :class:`~repro.fabric.StreamingJobSource`
 builds day ``d+1`` on a single worker process and ships it back as
 flat arrays.  That overlap is the only use of a process pool here:

@@ -81,13 +81,11 @@ class TrafficGenerator:
         if name == "steering":
             from repro.engine import signatures
 
-            jobs = getattr(driver, "jobs_by_day", {})
-            # A dict of days, or a streaming view with a ``days`` range.
-            days = sorted(jobs) if isinstance(jobs, dict) else jobs.days
+            pairs = driver.jobs_by_day  # the fleet's JobPairsView
             templates: list[str] = []
             seen: set[str] = set()
-            for day in days:
-                for _, plan in jobs.get(day, ()):
+            for day in pairs.days:
+                for _, plan in pairs.get(day, ()):
                     template = signatures(plan).template
                     if template not in seen:
                         seen.add(template)

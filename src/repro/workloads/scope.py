@@ -26,7 +26,7 @@ from copy import deepcopy
 from dataclasses import dataclass, field
 from hashlib import sha1
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -653,6 +653,8 @@ class ScopeWorkloadGenerator:
         day) and returns exactly the jobs a fresh generator's first
         ``generate()`` would place on that day.  Never consumes
         ``self._rng``: eager and streaming reads can interleave freely.
+        The fleet consumes :meth:`day_batch`; this per-job path is the
+        oracle it is pinned against (``JobBatch.from_jobs``).
         """
         if day < 0:
             raise ValueError("day must be >= 0")
@@ -714,22 +716,6 @@ class ScopeWorkloadGenerator:
         if self.config.instances_per_template == 1:
             return f"t{template_id:03d}"
         return f"t{template_id:03d}-i{instance:03d}"
-
-    def iter_jobs(self, day: int) -> Iterator[Job]:
-        """Iterate one day's jobs in submit order (see :meth:`day_jobs`)."""
-        return iter(self.day_jobs(day))
-
-    def stream_days(self, n_days: int, start_day: int = 0) -> Iterator[list[Job]]:
-        """Yield one day's job list at a time, never a full ``Workload``.
-
-        ``list(stream_days(n))`` flattens to the same jobs as
-        ``generate(n)`` at the same seed — the pinned equivalence the
-        scale tests gate on — but peak memory is one day, not the trace.
-        """
-        if n_days < 1:
-            raise ValueError("n_days must be >= 1")
-        for day in range(start_day, start_day + n_days):
-            yield self.day_jobs(day)
 
     def _filter_candidates(self, table: TableDef) -> tuple[ColumnStats, ...]:
         """Non-key columns of ``table`` (the ad-hoc filter candidates)."""
@@ -955,8 +941,8 @@ class ScopeWorkloadGenerator:
         signature pass: recurring instances share one per-template plan
         via columnar repeats, ad-hoc plans are a cached shape skeleton
         plus one literal, and the day never exists as a million-element
-        list.  Interleaves freely with :meth:`day_jobs`/
-        :meth:`stream_days` (shared day-state cache).
+        list.  Interleaves freely with :meth:`day_jobs` (shared
+        day-state cache).
         """
         if day < 0:
             raise ValueError("day must be >= 0")

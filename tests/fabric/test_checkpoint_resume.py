@@ -4,8 +4,9 @@ The acceptance scenario for the control plane: a fleet of 7 services
 runs 7 simulated days; checkpointing at day 3, restoring (optionally in
 a fresh interpreter via pickle bytes), and running the remaining 4 days
 must produce the *byte-identical* final report an uninterrupted run
-produces — through both checkpoint formats (@1 full pickle, @2
-base+delta chain).
+produces — from both checkpoint formats the store reads (@1 full
+pickle, written here by the test-side legacy writer; @2 base+delta
+chain).
 """
 
 import pickle
@@ -21,7 +22,8 @@ from repro.fabric import (
     RecordingDriver,
     build_fleet,
 )
-from repro.fabric.store import checkpoint_bytes_v1, restore_v1
+from repro.fabric.store import restore_v1
+from tests.fabric.legacy import save_as, v1_bytes
 
 DAYS = 7
 CHECKPOINT_AT = 3
@@ -31,11 +33,6 @@ def _fleet_plane(injector=None):
     plane = ControlPlane(injector=injector)
     build_fleet(plane, FleetConfig(days=DAYS))
     return plane
-
-
-def _v1_round_trip(plane):
-    """In-memory @1 snapshot/restore (a fresh-interpreter stand-in)."""
-    return restore_v1(pickle.loads(checkpoint_bytes_v1(plane)))
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +52,7 @@ class TestFleetCheckpointResume:
     ):
         plane = _fleet_plane()
         plane.run_days(CHECKPOINT_AT)
-        CheckpointStore(tmp_path / "store", version=version).save(plane)
-        restored = CheckpointStore.load(tmp_path / "store")
+        restored = CheckpointStore.load(save_as(plane, tmp_path, version))
         assert restored.day == CHECKPOINT_AT
         restored.run_days(DAYS - CHECKPOINT_AT)
         assert restored.report_bytes() == uninterrupted_report
@@ -97,7 +93,7 @@ class TestFleetCheckpointResume:
         restored.run_days(DAYS - CHECKPOINT_AT)
         assert restored.report_bytes() == uninterrupted_report
 
-    def test_resume_with_faults_still_deterministic(self):
+    def test_resume_with_faults_still_deterministic(self, tmp_path):
         def injector():
             inj = FaultInjector()
             inj.inject("seagull", "recommend", day=5, times=3)
@@ -109,7 +105,8 @@ class TestFleetCheckpointResume:
 
         interrupted = _fleet_plane(injector=injector())
         interrupted.run_days(CHECKPOINT_AT)
-        restored = _v1_round_trip(interrupted)
+        CheckpointStore(tmp_path / "store").save(interrupted)
+        restored = CheckpointStore.load(tmp_path / "store")
         restored.run_days(DAYS - CHECKPOINT_AT)
         assert restored.report_bytes() == straight.report_bytes()
         # The day-5 fault fires after the checkpoint and still degrades.
@@ -118,13 +115,17 @@ class TestFleetCheckpointResume:
 
 class TestCheckpointFormat:
     def test_v1_format_tag_present(self):
+        # Files older releases wrote carry exactly this tag; the reader
+        # must keep recognizing it.
+        assert FORMAT_V1 == "repro.fabric/checkpoint@1"
         plane = ControlPlane()
         plane.register(RecordingDriver())
-        payload = pickle.loads(checkpoint_bytes_v1(plane))
+        plane.run_days(1)
+        payload = pickle.loads(v1_bytes(plane))
         assert payload["format"] == FORMAT_V1
-        assert set(payload["state"]) >= {
-            "day", "now", "registry", "lifecycle", "bindings",
-        }
+        restored = restore_v1(payload)
+        assert restored.day == 1
+        assert [b.name for b in restored.bindings] == ["recorder"]
 
     def test_foreign_pickle_rejected(self, tmp_path):
         payload = {"format": "something-else", "state": {}}
@@ -135,16 +136,18 @@ class TestCheckpointFormat:
         with pytest.raises(ValueError, match="not a fabric checkpoint"):
             CheckpointStore.load(foreign)
 
-    def test_obs_runtime_never_pickled(self):
+    def test_obs_runtime_never_pickled(self, tmp_path):
         from repro.obs import ObservabilityRuntime
 
         obs = ObservabilityRuntime()
         plane = ControlPlane(obs=obs)
         plane.register(RecordingDriver())
         plane.run_days(1)
-        blob = checkpoint_bytes_v1(plane)  # must not try to pickle obs
+        store = CheckpointStore(tmp_path / "store")
+        store.save(plane)  # must not try to pickle obs
         assert plane._obs is obs  # rebound after the snapshot
-        restored = restore_v1(pickle.loads(blob))
+        assert b"ObservabilityRuntime" not in store.path.read_bytes()
+        restored = CheckpointStore.load(tmp_path / "store")
         assert restored._obs is None
 
     def test_restore_rebinds_fresh_obs(self, tmp_path):
@@ -168,8 +171,7 @@ class TestCheckpointFormat:
         # single pickle dump, @2 from persistent-id shared refs.
         plane = _fleet_plane()
         plane.run_days(2)
-        CheckpointStore(tmp_path / "store", version=version).save(plane)
-        restored = CheckpointStore.load(tmp_path / "store")
+        restored = CheckpointStore.load(save_as(plane, tmp_path, version))
         feedback = next(
             b.driver for b in restored.bindings if b.name == "feedback"
         )

@@ -8,10 +8,8 @@ report byte-identically.
 """
 
 import os
-import pickle
 
-from repro.fabric import ControlPlane, FleetConfig, build_fleet
-from repro.fabric.store import checkpoint_bytes_v1, restore_v1
+from repro.fabric import CheckpointStore, ControlPlane, FleetConfig, build_fleet
 from repro.parallel import FORCE_ENV, shutdown_pool
 
 
@@ -28,7 +26,6 @@ def _streaming_plane(overlap: bool | None = True) -> ControlPlane:
             days=3,
             jobs_per_day=300,
             include=("peregrine",),
-            streaming=True,
             overlap_prefetch=overlap,
         ),
     )
@@ -74,29 +71,31 @@ class TestPoolOwnership:
 
 
 class TestCheckpointExclusion:
-    def test_checkpoint_bytes_never_mention_the_pool(self):
+    def test_checkpoint_bytes_never_mention_the_pool(self, tmp_path):
         plane = _streaming_plane()
         plane.run_days(1)
         assert _source(plane)._pending is not None  # day 1 in flight
-        blob = checkpoint_bytes_v1(plane)  # would fail pickling a Future
+        store = CheckpointStore(tmp_path / "store")
+        store.save(plane)  # would fail pickling a Future
+        blob = store.path.read_bytes()
         assert b"WorkerPool" not in blob
         assert b"Future" not in blob
         plane.close()
 
-    def test_restore_rearms_the_pool_lazily(self):
+    def test_restore_rearms_the_pool_lazily(self, tmp_path):
         plane = _streaming_plane()
         plane.run_days(1)
-        blob = checkpoint_bytes_v1(plane)
+        CheckpointStore(tmp_path / "store").save(plane)
         plane.close()  # interrupted: the worker is gone
 
-        restored = restore_v1(pickle.loads(blob))
+        restored = CheckpointStore.load(tmp_path / "store")
         assert restored.pool is plane.pool  # same shared handle...
         assert not restored.pool.started  # ...cold after the interrupt
         restored.run_days(1)  # the next prefetch re-arms it
         assert restored.pool.started
         restored.close()
 
-    def test_resumed_run_reports_byte_identical(self):
+    def test_resumed_run_reports_byte_identical(self, tmp_path):
         with _streaming_plane(overlap=False) as serial:
             serial.run_days(3)
             expected = serial.report_bytes()
@@ -108,9 +107,9 @@ class TestCheckpointExclusion:
 
         interrupted = _streaming_plane()
         interrupted.run_days(1)
-        blob = checkpoint_bytes_v1(interrupted)
+        CheckpointStore(tmp_path / "store").save(interrupted)
         interrupted.close()
-        restored = restore_v1(pickle.loads(blob))
+        restored = CheckpointStore.load(tmp_path / "store")
         restored.run_days(2)
         assert restored.report_bytes() == expected
         restored.close()

@@ -19,6 +19,7 @@ from repro.fabric import (
     RetryPolicy,
 )
 from repro.fabric.pipeline import PipelineDriver, TickContext
+from tests.fabric.legacy import save_as, v1_bytes
 
 
 class FrozenWorldDriver(PipelineDriver):
@@ -217,23 +218,26 @@ class TestDurableSchedule:
 
 
 class TestFormatNegotiation:
-    def test_v1_store_writes_legacy_format(self, tmp_path):
-        import pickle
-
+    def test_v1_file_loads_and_saves_over_as_v2(self, tmp_path):
+        # @1 is read-only: the store loads it, and the first save onto
+        # the same path writes a fresh @2 base in its place.
         plane = ControlPlane()
         plane.register(RecordingDriver())
         plane.run_days(2)
-        store = CheckpointStore(tmp_path / "legacy.ckpt", version=1)
-        result = store.save(plane)
-        assert result.kind == "full"
-        payload = pickle.loads((tmp_path / "legacy.ckpt").read_bytes())
-        assert payload["format"] == "repro.fabric/checkpoint@1"
-        restored = CheckpointStore.load(tmp_path / "legacy.ckpt")
+        path = tmp_path / "legacy.ckpt"
+        path.write_bytes(v1_bytes(plane))
+        restored = CheckpointStore.load(path)
         assert restored.day == 2
+        restored.run_days(1)
+        assert CheckpointStore(path).save(restored).kind == "base"
+        assert CheckpointStore.load(path).day == 3
 
-    def test_unknown_version_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown checkpoint version"):
-            CheckpointStore(tmp_path / "store", version=3)
+    def test_store_takes_no_version(self, tmp_path):
+        # One format is written: there is nothing to choose.
+        with pytest.raises(TypeError):
+            CheckpointStore(tmp_path / "store", version=1)
+        with pytest.raises(TypeError):
+            ControlPlane().checkpoint(tmp_path / "ckpt", version=1)
 
     def test_delta_requires_a_base(self, tmp_path):
         plane = ControlPlane()
@@ -266,7 +270,7 @@ class TestFormatMigration:
         # Day-2 state captured in the legacy single-pickle format.
         fabric = self._fleet(4)
         fabric.run_days(2)
-        CheckpointStore(tmp_path / "legacy.ckpt", version=1).save(fabric)
+        (tmp_path / "legacy.ckpt").write_bytes(v1_bytes(fabric))
         fabric.close()
 
         # Migrate: load the @1 pickle, resume, checkpoint as a @2 chain.
@@ -293,10 +297,9 @@ class TestFormatMigration:
         plane = ControlPlane()
         plane.register(RecordingDriver())
         plane.run_days(1)
-        store = CheckpointStore(tmp_path / "legacy.ckpt", version=1)
-        store.save(plane)
+        (tmp_path / "legacy.ckpt").write_bytes(v1_bytes(plane))
         payload = pickle.loads((tmp_path / "legacy.ckpt").read_bytes())
-        assert "tuner" not in payload["state"]  # @1 stays bit-compatible
+        assert "tuner" not in payload["state"]
         restored = CheckpointStore.load(tmp_path / "legacy.ckpt")
         assert restored.day == 1
 
@@ -335,6 +338,20 @@ class TestFormatMigration:
         restored = CheckpointStore.load(tmp_path / "store")
         restored.run_days(2)
         assert restored.report_bytes() == expected
+
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_eager_peregrine_chain_fails_loudly(self, tmp_path, version):
+        # Chains written by the removed eager fleet wiring hand
+        # Peregrine a per-day job dict, not a day stream.  Restore must
+        # name that cause instead of degrading Peregrine every day.
+        from repro.fabric.fleet import PeregrineDriver
+
+        plane = ControlPlane()
+        plane.register(PeregrineDriver(jobs_by_day={0: [], 1: []}))
+        path = save_as(plane, tmp_path, version)
+        with pytest.raises(ValueError, match="per-day job dict"):
+            CheckpointStore.load(path)
 
 
 class TestPerTickChain:

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from repro.fabric import (
-    STREAMING_THRESHOLD,
+    PREFETCH_MIN_JOBS_PER_DAY,
     ControlPlane,
     FleetConfig,
     StreamingJobSource,
     build_fleet,
 )
 from repro.fabric.fleet import PeregrineDriver
+from repro.parallel import FORCE_ENV
 from repro.workloads.scope import ScopeWorkloadConfig, ScopeWorkloadGenerator
 
 
@@ -27,51 +28,99 @@ class TestStreamingJobSource:
             rng=3, config=ScopeWorkloadConfig(n_recurring_templates=30)
         ).generate(n_days=3)
         for day in range(3):
-            assert source.get(day) == list(eager.by_day(day))
+            jobs = eager.by_day(day)
+            assert len(source.day_batch(day)) == len(jobs)
+            assert source.pairs().get(day) == [(j.job_id, j.plan) for j in jobs]
 
     def test_day_cache_capacity_one(self):
         source = StreamingJobSource(seed=0, days=3, jobs_per_day=50)
-        assert source.get(1) is source.get(1)
-        first = source.get(1)
-        source.get(2)
-        assert source.get(1) is not first  # regenerated, not hoarded
+        assert source.day_batch(1) is source.day_batch(1)
+        first = source.day_batch(1)
+        source.day_batch(2)
+        assert source.day_batch(1) is not first  # regenerated, not hoarded
 
     def test_out_of_range_days_empty(self):
         source = StreamingJobSource(seed=0, days=2, jobs_per_day=50)
-        assert source.get(2, []) == []
-        assert source.get(-1, []) == []
-        assert source.get(5) is None
+        pairs = source.pairs()
+        assert pairs.get(2, []) == []
+        assert pairs.get(-1, []) == []
+        assert pairs.get(5) is None
+        assert source.day_batch(2) is None
 
     def test_pairs_view_head_limit(self):
         source = StreamingJobSource(seed=0, days=2, jobs_per_day=50)
         pairs = source.pairs(head=4)
         day = pairs.get(0)
         assert len(day) == 4
-        full = [(j.job_id, j.plan) for j in source.get(0)[:4]]
-        assert day == full
+        assert day == source.pairs().get(0)[:4]
         assert pairs.get(9, []) == []
 
     def test_pickle_round_trip_replays(self):
         source = StreamingJobSource(seed=5, days=3, jobs_per_day=50)
-        want = [j.job_id for j in source.get(2)]
+        want = source.day_batch(2).job_id_list()
         clone = pickle.loads(pickle.dumps(source))
-        assert [j.job_id for j in clone.get(2)] == want
+        assert clone.day_batch(2).job_id_list() == want
 
     def test_rejects_zero_days(self):
         with pytest.raises(ValueError):
             StreamingJobSource(seed=0, days=0, jobs_per_day=10)
 
+    def test_prefetch_size_rule(self, monkeypatch):
+        # Auto mode never prefetches a day smaller than the size rule,
+        # even where it otherwise would (forced, more than one CPU).
+        import repro.fabric.streams as streams
+
+        monkeypatch.setenv(FORCE_ENV, "1")
+        monkeypatch.setattr(streams.os, "cpu_count", lambda: 2)
+        small = StreamingJobSource(
+            seed=0, days=1, jobs_per_day=PREFETCH_MIN_JOBS_PER_DAY - 1
+        )
+        large = StreamingJobSource(
+            seed=0, days=1, jobs_per_day=PREFETCH_MIN_JOBS_PER_DAY
+        )
+        assert not small.overlap_enabled()
+        assert large.overlap_enabled()
+        # An explicit setting still wins at any size.
+        small.overlap = True
+        assert small.overlap_enabled()
+        large.overlap = False
+        assert not large.overlap_enabled()
+
 
 class TestFleetStreaming:
-    def test_resolve_streaming_threshold(self):
-        assert not FleetConfig().resolve_streaming()
+    def test_service_head_rule(self):
+        # Plan-facing services see min(jobs_per_day, service_jobs_per_day).
+        assert FleetConfig().service_head == 8
+        assert FleetConfig(jobs_per_day=100_000).service_head == 64
         assert FleetConfig(
-            jobs_per_day=STREAMING_THRESHOLD
-        ).resolve_streaming()
-        assert FleetConfig(jobs_per_day=8, streaming=True).resolve_streaming()
-        assert not FleetConfig(
-            jobs_per_day=10**6, streaming=False
-        ).resolve_streaming()
+            jobs_per_day=8000, service_jobs_per_day=1536
+        ).service_head == 1536
+        plane = ControlPlane()
+        build_fleet(plane, FleetConfig(days=2))
+        drivers = {b.name: b.driver for b in plane.bindings}
+        source = drivers["peregrine"].jobs_by_day
+        assert isinstance(source, StreamingJobSource)
+        for name in ("steering", "cloudviews"):
+            assert drivers[name].jobs_by_day.source is source
+            assert drivers[name].jobs_by_day.head == 8
+
+    def test_streaming_flag_only_accepts_true(self):
+        assert FleetConfig(streaming=True).streaming
+        with pytest.raises(ValueError, match="every fleet streams"):
+            FleetConfig(streaming=False)
+
+    def test_small_fleet_ingests_whole_days(self):
+        # Peregrine sees every job of the day; steering only the head.
+        plane = ControlPlane()
+        build_fleet(
+            plane, FleetConfig(days=2, include=("peregrine", "steering"))
+        )
+        plane.run_days(2)
+        drivers = {b.name: b.driver for b in plane.bindings}
+        source = drivers["peregrine"].jobs_by_day
+        whole = sum(len(source.day_batch(day)) for day in range(2))
+        assert len(drivers["peregrine"].repo) == whole > 2 * 8
+        assert drivers["steering"].jobs_seen == 2 * 8
 
     def test_streaming_fleet_runs_and_ingests_full_days(self, tmp_path):
         # ~0.6 MiB of columns per day: the second day pushes the first
@@ -80,7 +129,6 @@ class TestFleetStreaming:
             days=2,
             jobs_per_day=6000,
             include=("peregrine", "steering"),
-            streaming=True,
             repo_memory_budget_mb=1,
             repo_spill_dir=str(tmp_path / "chunks"),
         )
@@ -109,7 +157,6 @@ class TestFleetStreaming:
                 days=3,
                 jobs_per_day=600,
                 include=("peregrine", "steering"),
-                streaming=True,
             )
             plane = ControlPlane()
             build_fleet(plane, config)
@@ -227,7 +274,6 @@ class TestDayBatchSource:
                 days=3,
                 jobs_per_day=1200,
                 include=("peregrine", "steering"),
-                streaming=True,
                 overlap_prefetch=True,
             )
             plane = ControlPlane()

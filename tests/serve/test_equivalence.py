@@ -5,7 +5,9 @@ final-report bytes of the seed-0, 4-day core fleet captured *before*
 the pipeline drivers were rerouted through the serve contract.  The
 same run must still produce those bytes, byte for byte: rerouting every
 driver stage through ``serve().unwrap()`` changed the plumbing, never
-the behaviour.
+the behaviour.  It was re-pinned once, when every fleet began streaming
+its days: Peregrine now ingests whole days (184 jobs over the 4 days,
+was the 32-job service head), and no other entry changed.
 """
 
 from pathlib import Path

@@ -209,8 +209,8 @@ class TestTrafficGenerator:
         assert "p99" in payload["latency"]
 
     def test_streaming_fleet_builds_a_steering_pool(self):
-        # A streaming fleet hands steering a day view, not a dict of
-        # days: the template pool comes from the view's day range.
+        # Steering holds the fleet's day view: the template pool comes
+        # from the view's day range.
         plane = ControlPlane()
         build_fleet(
             plane,
@@ -219,7 +219,6 @@ class TestTrafficGenerator:
                 days=2,
                 jobs_per_day=1200,
                 include=("steering", "peregrine"),
-                streaming=True,
             ),
         )
         try:

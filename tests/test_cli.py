@@ -177,6 +177,28 @@ class TestFabricCommand:
         assert resumed == straight
 
 
+    def test_checkpoint_chunks_outlive_the_run(self, tmp_path, capsys):
+        # A checkpoint's repository manifest names day chunk files:
+        # without --store or --spill-dir they land beside the
+        # checkpoint, never in a scratch dir removed at exit.
+        from repro.fabric import ControlPlane
+
+        path = str(tmp_path / "ck")
+        assert main([
+            "fabric", "--days", "3", "--jobs-per-day", "1000",
+            "--services", "peregrine",
+            "--checkpoint", path, "--checkpoint-day", "2",
+        ]) == 0
+        capsys.readouterr()
+        restored = ControlPlane.restore(path)
+        try:
+            repo = restored.bindings[0].driver.repo
+            assert len(repo.by_day(0)) > 0  # read back from its chunk file
+            assert repo.spill_dir == tmp_path / "ck.peregrine-chunks"
+        finally:
+            restored.close()
+
+
 class TestFailureExits:
     """Every subcommand fails loudly: exit 1 plus one stderr error line."""
 

@@ -1,9 +1,10 @@
 """Streaming generator: bit-identical replay of the eager path.
 
-The scale tentpole only works if ``stream_days`` is a drop-in for
-``generate`` — these tests pin job-for-job equivalence across seeds,
-drift rates, and instance multipliers, plus the day-addressable random
-access the fabric's streaming sources rely on.
+Day-at-a-time ``day_jobs`` must be a drop-in for ``generate`` — it is
+the per-job oracle the fused ``day_batch`` is pinned against.  These
+tests pin job-for-job equivalence across seeds, drift rates, and
+instance multipliers, plus the day-addressable random access the
+fabric's streaming sources rely on.
 """
 
 import pytest
@@ -12,7 +13,7 @@ from repro.workloads.scope import ScopeWorkloadConfig, ScopeWorkloadGenerator
 
 
 def _flatten(gen, n_days):
-    return [job for day in gen.stream_days(n_days) for job in day]
+    return [job for day in range(n_days) for job in gen.day_jobs(day)]
 
 
 class TestStreamEagerEquivalence:
@@ -50,16 +51,16 @@ class TestDayAddressing:
         for day in (4, 0, 2, 4, 1):
             assert gen.day_jobs(day) == list(eager.by_day(day))
 
-    def test_iter_jobs_yields_submit_sorted_jobs(self):
+    def test_day_jobs_are_submit_sorted(self):
         gen = ScopeWorkloadGenerator(rng=0)
-        hours = [job.submit_hour for job in gen.iter_jobs(2)]
+        hours = [job.submit_hour for job in gen.day_jobs(2)]
         assert hours == sorted(hours)
         assert all(48.0 <= h < 72.0 for h in hours)
 
     def test_stream_days_start_day_offset(self):
         eager = ScopeWorkloadGenerator(rng=6).generate(n_days=6)
         gen = ScopeWorkloadGenerator(rng=6)
-        tail = [j for day in gen.stream_days(2, start_day=4) for j in day]
+        tail = [j for day in (4, 5) for j in gen.day_jobs(day)]
         assert tail == [j for d in (4, 5) for j in eager.by_day(d)]
 
     def test_rejects_bad_days(self):
@@ -67,7 +68,7 @@ class TestDayAddressing:
         with pytest.raises(ValueError):
             gen.day_jobs(-1)
         with pytest.raises(ValueError):
-            list(gen.stream_days(0))
+            gen.generate(n_days=0)
 
 
 class TestForScale:
